@@ -47,6 +47,7 @@ package streamsetcover
 import (
 	"io"
 
+	"repro/internal/algo"
 	"repro/internal/baseline"
 	"repro/internal/bitset"
 	"repro/internal/core"
@@ -99,7 +100,7 @@ type (
 	// observers: Workers goroutines (default GOMAXPROCS) consuming batches
 	// of BatchSize sets (default engine.DefaultBatchSize). With Workers > 1
 	// the stream itself is also DECODED in parallel when the repository
-	// supports it (indexed SCB1 files and both in-memory backends): the pass
+	// supports it (indexed SCB1 files and generator-backed FuncRepo): the pass
 	// splits into contiguous chunks decoded on separate goroutines and
 	// reassembled in stream order, so the CPU-bound varint decode of a disk
 	// pass scales with cores (DisableSegmented opts out). Set it on
@@ -233,10 +234,10 @@ var Reduce = offline.Reduce
 // for ratio reporting; exponential worst case).
 var OptSize = offline.OptSize
 
-// Baselines (the upper-bound rows of Figure 1.1). Every baseline accepts an
-// optional trailing EngineOptions value configuring the pass executor for
-// that call alone — the form concurrent solves with different configurations
-// must use (internal/serve does). With no options the engine defaults apply
+// Baselines (the upper-bound rows of Figure 1.1). Every baseline takes a
+// trailing EngineOptions value configuring the pass executor for that call
+// alone — the form concurrent solves with different configurations must use
+// (internal/serve does). The zero value means the engine defaults
 // (GOMAXPROCS workers). On repositories carrying per-set costs (see
 // OpenFile and InstanceWriter.SetWeights) every baseline generalizes its
 // pick rule from coverage to cost-effectiveness; unit weights reduce
@@ -256,8 +257,8 @@ var (
 	// the same space as IterSetCover).
 	DIMV14 = baseline.DIMV14
 	// SahaGetoorSetCover is the faithful [SG09] algorithm: SetCover via
-	// repeated one-pass Max k-Cover. Like the baselines it accepts an
-	// optional trailing EngineOptions value for this call alone.
+	// repeated one-pass Max k-Cover. Like the baselines it takes a trailing
+	// EngineOptions value for this call alone.
 	SahaGetoorSetCover = maxcover.SahaGetoorSetCover
 
 	// Partial (ε-Partial Set Cover) variants: cover at least a (1-ε)
@@ -268,7 +269,7 @@ var (
 	MultiPassGreedyPartial  = baseline.MultiPassGreedyPartial
 
 	// Max k-Cover primitives ([SG09]'s building block). The streaming
-	// variant accepts an optional trailing EngineOptions value per call.
+	// variant takes a trailing EngineOptions value per call.
 	MaxKCoverGreedy    = maxcover.Greedy
 	MaxKCoverStreaming = maxcover.Streaming
 )
@@ -278,6 +279,28 @@ type MaxKCoverResult = maxcover.Result
 
 // DIMV14Options configures the DIMV14 baseline.
 type DIMV14Options = baseline.DIMV14Options
+
+// Algorithm table (internal/algo, DESIGN.md §7): the one mapping from the
+// names cmd/setcover's -algo flag and the wire's "algo" field accept to the
+// entry points above. LookupAlgorithm(name) returns a row whose Run solves a
+// repository with AlgorithmParams; a row whose Weighted flag is false
+// refuses weighted repositories.
+type (
+	// Algorithm is one row: a name, its Weighted flag, and Run.
+	Algorithm = algo.Algorithm
+	// AlgorithmParams holds every knob any row reads.
+	AlgorithmParams = algo.Params
+	// AlgorithmResult is a row's report: Stats, iter's BestK, and the extra
+	// line cmd/setcover prints for iter and pd.
+	AlgorithmResult = algo.Result
+)
+
+var (
+	// LookupAlgorithm returns the row with the given name.
+	LookupAlgorithm = algo.Lookup
+	// AlgorithmNames lists every row's name, in table order.
+	AlgorithmNames = algo.Names
+)
 
 // Weighted SetCover. Per-set costs enter the system in one of three ways — an
 // Instance.Weights vector, an SCWT weight section in an SCB1 file (written by

@@ -30,14 +30,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("passes = %d, want <= 4 at delta 1/2", res.Passes)
 	}
 
-	er, err := EmekRosen(NewRepository(in))
+	er, err := EmekRosen(NewRepository(in), EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !in.IsCover(er.Cover) {
 		t.Fatal("EmekRosen cover invalid")
 	}
-	cw, err := ChakrabartiWirth(NewRepository(in), 2)
+	cw, err := ChakrabartiWirth(NewRepository(in), 2, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +115,10 @@ func TestPublicAPITruncatedFileFailsLoudly(t *testing.T) {
 	if res, err := IterSetCover(d, Options{Delta: 0.5, Seed: 1}); err == nil {
 		t.Fatalf("IterSetCover returned a cover of %d sets from a truncated stream", len(res.Cover))
 	}
-	if st, err := EmekRosen(d); err == nil {
+	if st, err := EmekRosen(d, EngineOptions{}); err == nil {
 		t.Fatalf("EmekRosen returned a cover of %d sets from a truncated stream", len(st.Cover))
 	}
-	if st, err := SahaGetoorSetCover(d); err == nil {
+	if st, err := SahaGetoorSetCover(d, EngineOptions{}); err == nil {
 		t.Fatalf("SahaGetoorSetCover returned a cover of %d sets from a truncated stream", len(st.Cover))
 	}
 	if _, _, err := VerifyCover(d, []int{0, 1, 2}, EngineOptions{}); err == nil {

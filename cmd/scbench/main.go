@@ -633,7 +633,7 @@ func measureSolve(name string, d *scdisk.Repo, runs int) (BenchCase, error) {
 	bc := BenchCase{Name: name, Sets: d.NumSets(), Bytes: dataBytes(d), Runs: runs}
 	refCover := -1
 	err := measure(&bc, d, runs, func() error {
-		st, err := baseline.OnePassGreedy(d)
+		st, err := baseline.OnePassGreedy(d, engine.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

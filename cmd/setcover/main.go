@@ -9,18 +9,21 @@
 //	scgen -kind planted -n 100000 -m 1000000 -format binary -out big.scb
 //	setcover -algo iter -format disk -in big.scb
 //
-// Algorithms: iter (the paper's iterSetCover), greedy1 (one-pass greedy),
-// greedyn (n-pass greedy), threshold (SG09-style thresholding), sg09
-// (repeated max-k-cover, the faithful SG09 loop), er14 (Emek–Rosén), cw16
-// (Chakrabarti–Wirth), dimv14 (element sampling), pd (batched primal-dual;
-// tune with -pd-mode, -pd-eps, -pd-batch), dyn (the density-level exact
-// greedy that backs dynamic instances: one pass to ingest, identical cover
-// to greedyn's exact greedy, and the algorithm setcoverd re-solves mutable
-// instances with).
+// -algo names a row of the algorithm table (internal/algo), the same table
+// setcoverd's wire "algo" field resolves through: iter (the paper's
+// iterSetCover), greedy1 (one-pass greedy), greedyn (n-pass greedy),
+// threshold (SG09-style thresholding), sg09 (repeated max-k-cover, the
+// faithful SG09 loop), er14 (Emek–Rosén), cw16 (Chakrabarti–Wirth), dimv14
+// (element sampling), pd (batched primal-dual; tune with -pd-mode, -pd-eps,
+// -pd-batch), dyn (the density-level exact greedy that backs dynamic
+// instances: one pass to ingest, identical cover to greedyn's exact greedy,
+// and the algorithm setcoverd re-solves mutable instances with).
 //
 // On weighted instances (-format disk files carrying an SCWT weight section,
-// written by scgen -weights) every algorithm minimizes total cost instead of
-// cardinality, and the report adds a "cover cost" line.
+// written by scgen -weights) every algorithm except dyn minimizes total cost
+// instead of cardinality, and the report adds a "cover cost" line. dyn
+// counts elements, not cost, so it refuses a weighted instance with exit
+// status 2.
 //
 // -eps switches iter/er14/cw16/threshold/greedyn to the ε-Partial Set Cover
 // problem (cover at least a 1-ε fraction).
@@ -44,6 +47,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	ssc "repro"
 )
@@ -58,7 +62,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("setcover", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		algo       = fs.String("algo", "iter", "algorithm: iter|greedy1|greedyn|threshold|sg09|er14|cw16|dimv14|pd|dyn")
+		algo       = fs.String("algo", "iter", "algorithm: "+strings.Join(ssc.AlgorithmNames(), "|"))
 		inPath     = fs.String("in", "-", "instance file ('-' = stdin)")
 		format     = fs.String("format", "text", "instance access: text|binary (in-memory) | disk (stream the SCB1 file out-of-core)")
 		delta      = fs.Float64("delta", 0.5, "delta for iter/dimv14 (passes 2/delta, space ~ m*n^delta)")
@@ -86,10 +90,19 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "setcover:", err)
 		return 2
 	}
+	a, ok := ssc.LookupAlgorithm(*algo)
+	if !ok {
+		return fatal(fmt.Errorf("unknown algorithm %q", *algo))
+	}
+	mode, err := ssc.ParsePDMode(*pdMode)
+	if err != nil {
+		return fatal(err)
+	}
+	params := ssc.AlgorithmParams{Delta: *delta, Seed: *seed, Eps: *eps, Passes: *passes,
+		ExactOffline: *exact, PDMode: mode, PDEps: *pdEps, PDBatch: *pdBatch}
 
-	// -workers/-batch tune the pass engine for every algorithm: iter takes
-	// them through Options.Engine below, the baselines as per-call engine
-	// options. Results are identical at every setting.
+	// -workers/-batch tune the pass engine for every algorithm. Results are
+	// identical at every setting.
 	engOpts := ssc.EngineOptions{Workers: *workers, BatchSize: *batch, DisableSegmented: *noSeg}
 
 	// Open the repository: disk mode streams the file out-of-core, the other
@@ -136,55 +149,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return fatal(fmt.Errorf("unknown format %q", *format))
 	}
 
-	var st ssc.Stats
-	var err error
-	switch *algo {
-	case "iter":
-		opts := ssc.Options{Delta: *delta, Seed: *seed, PartialEps: *eps,
-			Engine: engOpts}
-		if *exact {
-			opts.Offline = ssc.ExactSolver{}
-		}
-		var res ssc.Result
-		res, err = ssc.IterSetCover(repo, opts)
-		if err == nil {
-			st = res.Stats
-			fmt.Fprintf(stdout, "best guess k: %d\n", res.BestK)
-		}
-	case "greedy1":
-		st, err = ssc.OnePassGreedy(repo, engOpts)
-	case "greedyn":
-		st, err = ssc.MultiPassGreedyPartial(repo, *eps, engOpts)
-	case "threshold":
-		st, err = ssc.ThresholdGreedyPartial(repo, *eps, engOpts)
-	case "sg09":
-		st, err = ssc.SahaGetoorSetCover(repo, engOpts)
-	case "er14":
-		st, err = ssc.EmekRosenPartial(repo, *eps, engOpts)
-	case "cw16":
-		st, err = ssc.ChakrabartiWirthPartial(repo, *passes, *eps, engOpts)
-	case "dimv14":
-		st, err = ssc.DIMV14(repo, ssc.DIMV14Options{Delta: *delta, Seed: *seed}, engOpts)
-	case "dyn":
-		st, err = ssc.DynamicSolve(repo, engOpts)
-	case "pd":
-		var mode ssc.PDMode
-		if mode, err = ssc.ParsePDMode(*pdMode); err == nil {
-			var res ssc.PDResult
-			res, err = ssc.BatchedPrimalDual(repo, ssc.PDOptions{
-				Mode: mode, Epsilon: *pdEps, ElemBatch: *pdBatch, Engine: engOpts,
-			})
-			if err == nil {
-				st = res.Stats
-				fmt.Fprintf(stdout, "pd: %d batches, %d dual rounds, max frequency %d\n",
-					res.Batches, res.Rounds, res.MaxFrequency)
-			}
-		}
-	default:
-		err = fmt.Errorf("unknown algorithm %q", *algo)
-	}
+	res, err := a.Run(repo, params, engOpts)
 	if err != nil {
 		return fatal(err)
+	}
+	st := res.Stats
+	if res.Report != "" {
+		fmt.Fprintln(stdout, res.Report)
 	}
 
 	if origID != nil {

@@ -29,7 +29,7 @@ func genFile(t *testing.T, dir string) (string, *ssc.Instance) {
 // is verified (exit 0) and the summary is printed.
 func TestSolveFromDiskEndToEnd(t *testing.T) {
 	path, _ := genFile(t, t.TempDir())
-	for _, algo := range []string{"iter", "greedy1", "greedyn", "threshold", "sg09", "er14", "cw16", "dimv14"} {
+	for _, algo := range ssc.AlgorithmNames() {
 		var out, errb bytes.Buffer
 		code := run([]string{"-algo", algo, "-format", "disk", "-in", path}, strings.NewReader(""), &out, &errb)
 		if code != 0 {
@@ -42,6 +42,40 @@ func TestSolveFromDiskEndToEnd(t *testing.T) {
 		if !strings.Contains(s, "instance:    n=300 m=650") {
 			t.Fatalf("%s: wrong dims:\n%s", algo, s)
 		}
+	}
+}
+
+// An algorithm that ignores weights (dyn) must refuse a weighted file with
+// exit 2 and an error naming it, instead of printing a valid-looking cover
+// whose cost it never minimized. A cost-minimizing algorithm still solves it.
+func TestWeightedFileRefusesUnweightedAlgo(t *testing.T) {
+	in, _, _, err := ssc.Planted(ssc.PlantedConfig{N: 300, M: 650, K: 15, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ssc.ParseWeightSpec("loguniform:0.05:20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.M, spec.Seed = in.M(), 3
+	if in.Weights, err = ssc.WeightedSlice(spec); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "weighted.scb")
+	if err := ssc.WriteInstanceFile(path, in); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-algo", "dyn", "-format", "disk", "-in", path}, strings.NewReader(""), &out, &errb); code != 2 {
+		t.Fatalf("dyn on weighted: exit %d, want 2\nstdout: %s", code, out.String())
+	}
+	if out.Len() != 0 || !strings.Contains(errb.String(), `"dyn"`) {
+		t.Fatalf("dyn on weighted: stdout %q, stderr %q; want no stdout and an error naming dyn", out.String(), errb.String())
+	}
+	out.Reset()
+	if code := run([]string{"-algo", "greedyn", "-format", "disk", "-in", path}, strings.NewReader(""), &out, &bytes.Buffer{}); code != 0 ||
+		!strings.Contains(out.String(), "cover cost:") {
+		t.Fatalf("greedyn on weighted: exit %d\n%s", code, out.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package streamsetcover_test
 
 import (
 	"fmt"
+	"math"
 
 	ssc "repro"
 )
@@ -47,7 +48,7 @@ func ExampleEmekRosen() {
 	if err != nil {
 		panic(err)
 	}
-	st, err := ssc.EmekRosen(ssc.NewRepository(in))
+	st, err := ssc.EmekRosen(ssc.NewRepository(in), ssc.EngineOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -97,3 +98,84 @@ type stringsBuilder struct{ b []byte }
 
 func (s *stringsBuilder) Write(p []byte) (int, error) { s.b = append(s.b, p...); return len(p), nil }
 func (s *stringsBuilder) String() string              { return string(s.b) }
+
+// Theorem 2.8's pass/space trade-off on one instance: smaller δ buys less
+// memory (Õ(m·n^δ)) with more passes (2/δ), and every cover stays valid.
+func ExampleIterSetCover_tradeoff() {
+	in, _, _, err := ssc.Planted(ssc.PlantedConfig{N: 2048, M: 4096, K: 16, Seed: 5})
+	if err != nil {
+		panic(err)
+	}
+	prevSpace := int64(math.MaxInt64)
+	for _, delta := range []float64{1, 0.5, 1.0 / 3.0, 0.25} {
+		res, err := ssc.IterSetCover(ssc.NewRepository(in), ssc.Options{Delta: delta, Seed: 5})
+		if err != nil {
+			panic(err)
+		}
+		budget := int(math.Round(2 / delta))
+		fmt.Printf("delta=%.2f: passes<=%d %v, space shrinks %v, valid %v\n", delta, budget,
+			res.Passes <= budget, res.SpaceWords < prevSpace, in.IsCover(res.Cover))
+		prevSpace = res.SpaceWords
+	}
+	// Output:
+	// delta=1.00: passes<=2 true, space shrinks true, valid true
+	// delta=0.50: passes<=4 true, space shrinks true, valid true
+	// delta=0.33: passes<=6 true, space shrinks true, valid true
+	// delta=0.25: passes<=8 true, space shrinks true, valid true
+}
+
+// The web-host workload from the paper's introduction: pick the fewest
+// mirror hosts whose inventories cover a URL corpus, scanning a catalog too
+// large to hold. iterSetCover reads it 2/δ times; one-pass greedy and
+// Emek–Rosén read it once.
+func ExampleIterSetCover_webhost() {
+	in, _, _, err := ssc.Planted(ssc.PlantedConfig{N: 2500, M: 4000, K: 20, Seed: 7})
+	if err != nil {
+		panic(err)
+	}
+	iter, err := ssc.IterSetCover(ssc.NewRepository(in), ssc.Options{Delta: 0.5, Seed: 7})
+	if err != nil {
+		panic(err)
+	}
+	greedy, err := ssc.OnePassGreedy(ssc.NewRepository(in), ssc.EngineOptions{})
+	if err != nil {
+		panic(err)
+	}
+	er, err := ssc.EmekRosen(ssc.NewRepository(in), ssc.EngineOptions{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("iterSetCover: passes<=4", iter.Passes <= 4, "valid", in.IsCover(iter.Cover))
+	fmt.Println("greedy:       passes", greedy.Passes, "valid", in.IsCover(greedy.Cover))
+	fmt.Println("Emek-Rosén:   passes", er.Passes, "valid", in.IsCover(er.Cover))
+	// Output:
+	// iterSetCover: passes<=4 true valid true
+	// greedy:       passes 1 valid true
+	// Emek-Rosén:   passes 1 valid true
+}
+
+// The blog-watch scenario of [SG09]: subscribe to the fewest feeds covering
+// every topic. Chakrabarti–Wirth spends exactly its pass budget p, and each
+// extra pass over the feed catalog buys a list no longer than before.
+func ExampleChakrabartiWirth() {
+	in, _, _, err := ssc.Planted(ssc.PlantedConfig{N: 1500, M: 3000, K: 15, Seed: 11})
+	if err != nil {
+		panic(err)
+	}
+	prev, err := ssc.EmekRosen(ssc.NewRepository(in), ssc.EngineOptions{})
+	if err != nil {
+		panic(err)
+	}
+	for _, p := range []int{2, 4} {
+		st, err := ssc.ChakrabartiWirth(ssc.NewRepository(in), p, ssc.EngineOptions{})
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("p=%d: passes %d, no longer than with fewer passes %v, valid %v\n",
+			p, st.Passes, len(st.Cover) <= len(prev.Cover), in.IsCover(st.Cover))
+		prev = st
+	}
+	// Output:
+	// p=2: passes 2, no longer than with fewer passes true, valid true
+	// p=4: passes 4, no longer than with fewer passes true, valid true
+}

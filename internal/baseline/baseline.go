@@ -45,34 +45,6 @@ import (
 // ErrInfeasible mirrors setcover.ErrInfeasible for streaming baselines.
 var ErrInfeasible = setcover.ErrInfeasible
 
-// defaultEng is the pass executor a baseline uses when the caller passes no
-// per-call engine options. Each baseline registers one observer per pass, so
-// observer delivery is sequential regardless of the worker count (the engine
-// never runs more delivery workers than observers) — but the decode side of a
-// pass still parallelizes: with the default GOMAXPROCS workers, a segmentable
-// repository (an indexed SCB1 file, or any in-memory backend) is decoded by
-// several goroutines and reassembled in stream order, so results are
-// identical and only wall-clock changes.
-//
-// The deprecated process-wide SetEngine mutator was removed: per-call
-// engine.Options (OnePassGreedy(repo, opts) etc.) is the only way to
-// configure a solve, so concurrent solves can no longer race on a global
-// default. See backends_test.go's removal note.
-var defaultEng = engine.New(engine.Options{})
-
-// engineFor resolves the executor for one solve: the caller's per-call
-// options when given (at most one, validated by engine.PerCall), the
-// immutable process default otherwise. Per-call engines are constructed
-// fresh, so concurrent solves with different configurations never share
-// mutable executor state.
-func engineFor(engOpts []engine.Options) *engine.Engine {
-	opts, ok := engine.PerCall("baseline", engOpts)
-	if !ok {
-		return defaultEng
-	}
-	return engine.New(opts)
-}
-
 // weightFn resolves the per-set cost accessor for one solve: the
 // repository's Weighted capability when present and populated, nil
 // otherwise. Every baseline threads it the same way: nil leaves the
@@ -110,10 +82,10 @@ func allowedLeftovers(n int, eps float64) (int, error) {
 // row of Figure 1.1. It is the space-hungry strawman every sublinear
 // algorithm is measured against.
 //
-// engOpts (at most one, like every baseline here) configures the pass
-// executor for THIS call; omitted, the immutable process default applies.
-func OnePassGreedy(repo stream.Repository, engOpts ...engine.Options) (setcover.Stats, error) {
-	eng := engineFor(engOpts)
+// engOpts configures the pass executor for THIS call, like every baseline
+// here; the zero value means engine defaults.
+func OnePassGreedy(repo stream.Repository, engOpts engine.Options) (setcover.Stats, error) {
+	eng := engine.New(engOpts)
 	st := setcover.Stats{Algorithm: "greedy-1pass"}
 	tracker := stream.NewTracker()
 
@@ -153,14 +125,14 @@ func OnePassGreedy(repo stream.Repository, engOpts ...engine.Options) (setcover.
 // the set with maximum gain against the in-memory uncovered bitset, then
 // commits it. This is the "Greedy algorithm, ln n approx, n passes, O(n)
 // space" row of Figure 1.1. Passes equal the cover size.
-func MultiPassGreedy(repo stream.Repository, engOpts ...engine.Options) (setcover.Stats, error) {
-	return multiPassGreedy(repo, 0, engineFor(engOpts))
+func MultiPassGreedy(repo stream.Repository, engOpts engine.Options) (setcover.Stats, error) {
+	return multiPassGreedy(repo, 0, engine.New(engOpts))
 }
 
 // MultiPassGreedyPartial is MultiPassGreedy for ε-Partial Set Cover: it
 // stops once at most eps·n elements remain uncovered.
-func MultiPassGreedyPartial(repo stream.Repository, eps float64, engOpts ...engine.Options) (setcover.Stats, error) {
-	return multiPassGreedy(repo, eps, engineFor(engOpts))
+func MultiPassGreedyPartial(repo stream.Repository, eps float64, engOpts engine.Options) (setcover.Stats, error) {
+	return multiPassGreedy(repo, eps, engine.New(engOpts))
 }
 
 func multiPassGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (setcover.Stats, error) {
@@ -247,13 +219,13 @@ func (o *bestSetObserver) Observe(batch []setcover.Set) {
 // pass j accepts on the spot any set covering at least τ_j = n/2^j new
 // elements, halving τ until 1. O(log n) passes, O(log n)-approximation,
 // Õ(n) space.
-func ThresholdGreedy(repo stream.Repository, engOpts ...engine.Options) (setcover.Stats, error) {
-	return thresholdGreedy(repo, 0, engineFor(engOpts))
+func ThresholdGreedy(repo stream.Repository, engOpts engine.Options) (setcover.Stats, error) {
+	return thresholdGreedy(repo, 0, engine.New(engOpts))
 }
 
 // ThresholdGreedyPartial is ThresholdGreedy for ε-Partial Set Cover.
-func ThresholdGreedyPartial(repo stream.Repository, eps float64, engOpts ...engine.Options) (setcover.Stats, error) {
-	return thresholdGreedy(repo, eps, engineFor(engOpts))
+func ThresholdGreedyPartial(repo stream.Repository, eps float64, engOpts engine.Options) (setcover.Stats, error) {
+	return thresholdGreedy(repo, eps, engine.New(engOpts))
 }
 
 func thresholdGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (setcover.Stats, error) {
@@ -339,15 +311,15 @@ func thresholdGreedy(repo stream.Repository, eps float64, eng *engine.Engine) (s
 // Approximation: every set covers < √n of the final uncovered elements (a
 // set's uncovered-gain only shrinks over the pass), so OPT ≥ u/√n where u is
 // the number of leftovers; the algorithm pays ≤ √n picks + u ≤ √n + √n·OPT.
-func EmekRosen(repo stream.Repository, engOpts ...engine.Options) (setcover.Stats, error) {
-	return emekRosen(repo, 0, engineFor(engOpts))
+func EmekRosen(repo stream.Repository, engOpts engine.Options) (setcover.Stats, error) {
+	return emekRosen(repo, 0, engine.New(engOpts))
 }
 
 // EmekRosenPartial is EmekRosen for ε-Partial Set Cover ([ER14] prove their
 // upper and lower bounds for this generalization): up to eps·n elements may
 // stay uncovered, so the patch phase stops early.
-func EmekRosenPartial(repo stream.Repository, eps float64, engOpts ...engine.Options) (setcover.Stats, error) {
-	return emekRosen(repo, eps, engineFor(engOpts))
+func EmekRosenPartial(repo stream.Repository, eps float64, engOpts engine.Options) (setcover.Stats, error) {
+	return emekRosen(repo, eps, engine.New(engOpts))
 }
 
 func emekRosen(repo stream.Repository, eps float64, eng *engine.Engine) (setcover.Stats, error) {
@@ -420,14 +392,14 @@ func emekRosen(repo stream.Repository, eps float64, eng *engine.Engine) (setcove
 // τ_j = n^{(p+1-j)/(p+1)} new elements; after p passes the leftovers are
 // patched with remembered first covers, giving a (p+1)·n^{1/(p+1)}-style
 // approximation in Θ̃(n) space.
-func ChakrabartiWirth(repo stream.Repository, passes int, engOpts ...engine.Options) (setcover.Stats, error) {
-	return chakrabartiWirth(repo, passes, 0, engineFor(engOpts))
+func ChakrabartiWirth(repo stream.Repository, passes int, engOpts engine.Options) (setcover.Stats, error) {
+	return chakrabartiWirth(repo, passes, 0, engine.New(engOpts))
 }
 
 // ChakrabartiWirthPartial is ChakrabartiWirth for ε-Partial Set Cover
 // ([CW16] prove their trade-off for this generalization too).
-func ChakrabartiWirthPartial(repo stream.Repository, passes int, eps float64, engOpts ...engine.Options) (setcover.Stats, error) {
-	return chakrabartiWirth(repo, passes, eps, engineFor(engOpts))
+func ChakrabartiWirthPartial(repo stream.Repository, passes int, eps float64, engOpts engine.Options) (setcover.Stats, error) {
+	return chakrabartiWirth(repo, passes, eps, engine.New(engOpts))
 }
 
 func chakrabartiWirth(repo stream.Repository, passes int, eps float64, eng *engine.Engine) (setcover.Stats, error) {
@@ -560,8 +532,8 @@ type DIMV14Options struct {
 // covering everything takes Θ(log n) rounds = Θ(log n) passes at the same
 // Õ(m·n^δ) space — the exponential pass blow-up relative to iterSetCover
 // that Theorem 2.8 eliminates.
-func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts ...engine.Options) (setcover.Stats, error) {
-	eng := engineFor(engOpts)
+func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts engine.Options) (setcover.Stats, error) {
+	eng := engine.New(engOpts)
 	weight := weightFn(repo)
 	st := setcover.Stats{Algorithm: "dimv14-sampling", Extra: opts.Delta}
 	n, m := repo.UniverseSize(), repo.NumSets()

@@ -18,28 +18,28 @@ func TestPartialVariantsContract(t *testing.T) {
 	}
 	type pair struct {
 		name    string
-		full    func(stream.Repository, ...engine.Options) (setcover.Stats, error)
-		partial func(stream.Repository, float64, ...engine.Options) (setcover.Stats, error)
+		full    func(stream.Repository, engine.Options) (setcover.Stats, error)
+		partial func(stream.Repository, float64, engine.Options) (setcover.Stats, error)
 	}
 	pairs := []pair{
 		{"emek-rosen", EmekRosen, EmekRosenPartial},
 		{"threshold", ThresholdGreedy, ThresholdGreedyPartial},
 		{"greedy-npass", MultiPassGreedy, MultiPassGreedyPartial},
-		{"cw16", func(r stream.Repository, eo ...engine.Options) (setcover.Stats, error) {
-			return ChakrabartiWirth(r, 3, eo...)
+		{"cw16", func(r stream.Repository, eo engine.Options) (setcover.Stats, error) {
+			return ChakrabartiWirth(r, 3, eo)
 		},
-			func(r stream.Repository, eps float64, eo ...engine.Options) (setcover.Stats, error) {
-				return ChakrabartiWirthPartial(r, 3, eps, eo...)
+			func(r stream.Repository, eps float64, eo engine.Options) (setcover.Stats, error) {
+				return ChakrabartiWirthPartial(r, 3, eps, eo)
 			}},
 	}
 	for _, p := range pairs {
-		full, err := p.full(stream.NewSliceRepo(in))
+		full, err := p.full(stream.NewSliceRepo(in), engine.Options{})
 		if err != nil {
 			t.Fatalf("%s full: %v", p.name, err)
 		}
 		prev := len(full.Cover)
 		for _, eps := range []float64{0.01, 0.05, 0.2} {
-			st, err := p.partial(stream.NewSliceRepo(in), eps)
+			st, err := p.partial(stream.NewSliceRepo(in), eps, engine.Options{})
 			if err != nil {
 				t.Fatalf("%s eps=%v: %v", p.name, eps, err)
 			}
@@ -54,7 +54,7 @@ func TestPartialVariantsContract(t *testing.T) {
 			prev = len(st.Cover)
 		}
 		// eps=0 must coincide with the full variant.
-		zero, err := p.partial(stream.NewSliceRepo(in), 0)
+		zero, err := p.partial(stream.NewSliceRepo(in), 0, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s eps=0: %v", p.name, err)
 		}
@@ -67,7 +67,7 @@ func TestPartialVariantsContract(t *testing.T) {
 func TestPartialBadEps(t *testing.T) {
 	in, _, _, _ := gen.Planted(gen.PlantedConfig{N: 20, M: 20, K: 2, Seed: 1})
 	for _, eps := range []float64{-0.1, 1, 1.5} {
-		if _, err := EmekRosenPartial(stream.NewSliceRepo(in), eps); err == nil {
+		if _, err := EmekRosenPartial(stream.NewSliceRepo(in), eps, engine.Options{}); err == nil {
 			t.Errorf("eps=%v accepted", eps)
 		}
 	}
@@ -80,10 +80,10 @@ func TestPartialToleratesUncoverableElements(t *testing.T) {
 		{Elems: []setcover.Elem{0, 1, 2, 3, 4, 5, 6, 7, 8}}, // element 9 uncoverable
 	}}
 	in.Normalize()
-	if _, err := EmekRosen(stream.NewSliceRepo(in)); err == nil {
+	if _, err := EmekRosen(stream.NewSliceRepo(in), engine.Options{}); err == nil {
 		t.Fatal("full cover should be infeasible")
 	}
-	st, err := EmekRosenPartial(stream.NewSliceRepo(in), 0.1)
+	st, err := EmekRosenPartial(stream.NewSliceRepo(in), 0.1, engine.Options{})
 	if err != nil {
 		t.Fatalf("eps=0.1 should tolerate one uncoverable element: %v", err)
 	}

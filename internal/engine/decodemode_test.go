@@ -5,15 +5,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/scdisk"
 	"repro/internal/stream"
 )
 
-// spanSegRepo wraps a segmentable repository and records every Segment call
-// while FORWARDING the source's decode-cost signal (unlike opaqueSegSource),
-// so tests observe which mode the engine actually picked: the sequential
-// single-segment mode shows up as exactly one [0, m) span, the chunked
-// parallel mode as many chunk-sized spans.
+// spanSegRepo wraps a segmentable repository and records every Segment
+// call, so tests observe which mode the engine actually picked: the chunked
+// parallel mode shows up as many chunk-sized spans.
 type spanSegRepo struct {
 	stream.Repository
 	mu    sync.Mutex
@@ -40,38 +39,32 @@ func (s *spanSegSource) Segment(start, end int) stream.Reader {
 	return s.src.Segment(start, end)
 }
 
-// DecodeCost forwards the wrapped source's signal, or heavy when it has none
-// — the same probe the engine performs.
-func (s *spanSegSource) DecodeCost() stream.DecodeCost {
-	if dc, ok := s.src.(stream.DecodeCoster); ok {
-		return dc.DecodeCost()
-	}
-	return stream.DecodeCostHeavy
-}
-
-// A SliceRepo pass at Workers > 1 must be driven as ONE sequential segment:
-// its "decode" is a header memcpy (stream.DecodeCostTrivial), so chunked
-// parallel decode has nothing to win. The pass is still the segmented
-// source's (one counted pass), just read in order by one goroutine.
+// A SliceRepo pass at Workers > 1 is a plain sequential pass: handing out
+// an in-memory set is a header copy, so there is no decode to parallelize
+// and SliceRepo offers no segmented pass. The engine reads it through one
+// Begin — one counted pass, traced as unsegmented.
 func TestEngineSkipsSegmentationForTrivialDecode(t *testing.T) {
 	const m = 1000
-	inner := stream.NewSliceRepo(testInstance(32, m))
-	repo := &spanSegRepo{Repository: inner}
+	repo := stream.NewSliceRepo(testInstance(32, m))
+	if _, ok := any(repo).(stream.SegmentedRepository); ok {
+		t.Fatal("SliceRepo offers a segmented pass")
+	}
+	rec := &obs.Recorder{}
 	r := &recorder{}
-	if err := New(Options{Workers: 4, BatchSize: 64}).Run(repo, r); err != nil {
+	if err := New(Options{Workers: 4, BatchSize: 64, Tracer: rec}).Run(repo, r); err != nil {
 		t.Fatal(err)
 	}
-	if len(repo.spans) != 1 || repo.spans[0] != [2]int{0, m} {
-		t.Fatalf("trivial-decode source read through spans %v, want exactly [0 %d]", repo.spans, m)
+	if repo.Passes() != 1 {
+		t.Fatalf("counted %d passes, want 1", repo.Passes())
 	}
-	if inner.Passes() != 1 {
-		t.Fatalf("sequential-over-source mode counted %d passes, want 1", inner.Passes())
+	if p := rec.Passes(); len(p) != 1 || p[0].Segmented {
+		t.Fatalf("trace %+v, want one unsegmented pass", p)
 	}
 	r.verify(t, m, 64)
 }
 
-// A disk-backed pass (real varint decode work, no trivial-decode signal)
-// must keep the chunked parallel path at Workers > 1.
+// A disk-backed pass (real varint decode work) must take the chunked
+// parallel path at Workers > 1.
 func TestEngineKeepsSegmentationForDiskRepo(t *testing.T) {
 	const m = 600
 	path := filepath.Join(t.TempDir(), "cost.scb")

@@ -31,11 +31,7 @@
 // stream is decoded as contiguous chunks on Workers goroutines and
 // reassembled in stream order before delivery (segmented.go) — the
 // CPU-bound decode of a disk-backed pass scales with cores while every
-// observer still sees the exact sequential stream. A segment source that
-// declares its decode trivial (stream.DecodeCoster — SliceRepo's, whose
-// "decode" is a header memcpy) is driven as one sequential segment instead:
-// there is nothing to parallelize, so the engine skips the chunk fan-out
-// and its reorder overhead while still counting the same single pass.
+// observer still sees the exact sequential stream.
 //
 // Pass failure is first-class: Run returns an error when the pass could not
 // be fully drained (a truncated or corrupt backing file, surfaced through
@@ -75,7 +71,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -143,25 +138,6 @@ type Options struct {
 	// conformance suites pin this). Per-pass overhead when nil is a single
 	// pointer comparison.
 	Tracer obs.Tracer
-}
-
-// PerCall validates a variadic per-call option list — the trailing
-// `engOpts ...engine.Options` idiom shared by the baselines, the max-cover
-// entry points, and the experiment builders: at most one set may be passed
-// (the variadic exists only so option-less call sites stay source
-// compatible). It returns the options and whether any were given; each
-// caller chooses its own fallback for the no-options case (baseline keeps a
-// deprecated process default, maxcover uses engine defaults). caller names
-// the package in the misuse panic.
-func PerCall(caller string, engOpts []Options) (Options, bool) {
-	switch len(engOpts) {
-	case 0:
-		return Options{}, false
-	case 1:
-		return engOpts[0], true
-	default:
-		panic(fmt.Sprintf("%s: %d engine option sets passed; want at most 1", caller, len(engOpts)))
-	}
 }
 
 // normalized fills in defaults.
@@ -251,21 +227,14 @@ func (e *Engine) newTrace(kind string, src any) *passTrace {
 }
 
 // beginPass starts the pass, choosing the decode mode: segmented
-// data-parallel decode whenever more than one worker is configured, the
-// repository supports it, and the segment source does not declare its decode
-// trivial (the CPU-bound varint decode of a disk pass is the hot path
-// segmentation exists for; a header-memcpy source like SliceRepo's gains
-// nothing from chunk fan-out and is driven as one sequential segment of the
-// same counted pass instead). The plain single reader otherwise. Exactly one
-// pass is counted in every mode. segmented reports which mode was chosen —
-// true only for the chunk-parallel decode path — and feeds the pass trace.
+// data-parallel decode whenever more than one worker is configured and the
+// repository supports it, the plain single reader otherwise. Exactly one
+// pass is counted in either mode. segmented reports which mode was chosen
+// and feeds the pass trace.
 func (e *Engine) beginPass(repo stream.Repository) (r stream.Reader, segmented bool) {
 	if e.opts.Workers > 1 && !e.opts.DisableSegmented {
 		if sr, ok := repo.(stream.SegmentedRepository); ok {
 			if src, ok := sr.BeginSegmented(); ok {
-				if dc, ok := src.(stream.DecodeCoster); ok && dc.DecodeCost() == stream.DecodeCostTrivial {
-					return src.Segment(0, repo.NumSets()), false
-				}
 				return newSegmentedReader(src, repo.NumSets(), e.opts.Workers, e.opts.BatchSize), true
 			}
 		}

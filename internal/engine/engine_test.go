@@ -21,6 +21,12 @@ func testInstance(n, m int) *setcover.Instance {
 	return in
 }
 
+// funcRepoOf streams in through a FuncRepo, the in-memory repository whose
+// passes segment: tests of the chunk-parallel decoder wrap it.
+func funcRepoOf(in *setcover.Instance) *stream.FuncRepo {
+	return stream.NewFuncRepo(in.N, len(in.Sets), func(id int) setcover.Set { return in.Sets[id] })
+}
+
 // recorder checks the per-observer contract: batches arrive in stream order,
 // cover the whole stream, respect the batch size, and are bracketed by the
 // lifecycle hooks.

@@ -244,9 +244,6 @@ type shortSetRepo struct {
 
 func (r *shortSetRepo) NumSets() int { return r.claim }
 
-// Hide segmentation so the single-reader path is what ends short.
-func (r *shortSetRepo) BeginSegmented() (stream.SegmentSource, bool) { return nil, false }
-
 func TestRunShortSetStreamIsAFailedPass(t *testing.T) {
 	repo := &shortSetRepo{SliceRepo: stream.NewSliceRepo(testInstance(8, 100)), claim: 150}
 	err := New(Options{Workers: 1}).Run(repo, Func(func([]setcover.Set) {}))

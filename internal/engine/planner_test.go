@@ -6,17 +6,17 @@ import (
 	"repro/internal/stream"
 )
 
-// plannedSegRepo exposes a SliceRepo through a segment source that also
+// plannedSegRepo exposes a FuncRepo through a segment source that also
 // implements stream.SegmentPlanner, returning whatever plan the test injects
 // and recording the target chunk count the engine asked for.
 type plannedSegRepo struct {
-	*stream.SliceRepo
+	*stream.FuncRepo
 	plan   []int
 	target int
 }
 
 func (r *plannedSegRepo) BeginSegmented() (stream.SegmentSource, bool) {
-	src, ok := r.SliceRepo.BeginSegmented()
+	src, ok := r.FuncRepo.BeginSegmented()
 	return &plannedSegSource{src: src, repo: r}, ok
 }
 
@@ -51,7 +51,7 @@ func TestPlannerPlansHonoredAndValidated(t *testing.T) {
 	}
 	for name, plan := range plans {
 		for _, workers := range []int{1, 2, 3} {
-			repo := &plannedSegRepo{SliceRepo: stream.NewSliceRepo(testInstance(32, m)), plan: plan}
+			repo := &plannedSegRepo{FuncRepo: funcRepoOf(testInstance(32, m)), plan: plan}
 			e := New(Options{Workers: workers, BatchSize: 16})
 			rec := &recorder{}
 			if err := e.Run(repo, rec); err != nil {
@@ -92,10 +92,10 @@ func TestValidBounds(t *testing.T) {
 // planBounds must produce the uniform cut when the source has no planner —
 // and the uniform cut must tile [0, m] exactly for awkward m/chunk ratios.
 func TestPlanBoundsUniformFallback(t *testing.T) {
-	repo := stream.NewSliceRepo(testInstance(8, 10))
+	repo := funcRepoOf(testInstance(8, 10))
 	src, ok := repo.BeginSegmented()
 	if !ok {
-		t.Fatal("SliceRepo must segment")
+		t.Fatal("FuncRepo must segment")
 	}
 	for _, tc := range []struct{ m, chunk, chunks int }{
 		{10, 3, 4}, {10, 5, 2}, {10, 100, 1}, {1, 1, 1}, {0, 4, 0},

@@ -61,7 +61,7 @@ func TestTraceEmittedPerPass(t *testing.T) {
 		if p.Err != nil {
 			t.Fatalf("healthy pass carries error %v", p.Err)
 		}
-		// SliceRepo's decode is trivial → sequential single-segment mode.
+		// SliceRepo has no segmented pass → plain sequential mode.
 		if p.Segmented {
 			t.Fatalf("slice pass reported segmented")
 		}

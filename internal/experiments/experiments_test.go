@@ -11,7 +11,7 @@ import (
 
 // Every experiment must build (quick mode) and produce a well-formed table.
 func TestAllExperimentsQuick(t *testing.T) {
-	tables := All(1, true)
+	tables := All(1, true, engine.Options{})
 	if len(tables) != 19 {
 		t.Fatalf("expected 19 experiments, got %d", len(tables))
 	}
@@ -37,7 +37,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 
 // E1 must produce valid covers for every algorithm.
 func TestE1AllValid(t *testing.T) {
-	tbl := E1Figure11(3, true)
+	tbl := E1Figure11(3, true, engine.Options{})
 	validCol := len(tbl.Head) - 1
 	for _, row := range tbl.Rows {
 		if row[validCol] != "yes" {
@@ -48,7 +48,7 @@ func TestE1AllValid(t *testing.T) {
 
 // E7's iff column must be "yes" — the reduction is exact.
 func TestE7IffHolds(t *testing.T) {
-	tbl := E7ISCReduction(5, true)
+	tbl := E7ISCReduction(5, true, engine.Options{})
 	iffCol := len(tbl.Head) - 1
 	for _, row := range tbl.Rows {
 		if row[iffCol] != "yes" {
@@ -59,7 +59,7 @@ func TestE7IffHolds(t *testing.T) {
 
 // E6 must fully recover the family at quick sizes.
 func TestE6Recovers(t *testing.T) {
-	tbl := E6RecoverBits(7, true)
+	tbl := E6RecoverBits(7, true, engine.Options{})
 	for _, row := range tbl.Rows {
 		if row[3] != "yes" && !strings.Contains(row[3], "skipped") {
 			t.Fatalf("recovery failed: %v", row)
@@ -69,7 +69,7 @@ func TestE6Recovers(t *testing.T) {
 
 // E18's headline: the space/input ratio must fall as n grows.
 func TestE18RatioFalls(t *testing.T) {
-	tbl := E18Scaling(2, true)
+	tbl := E18Scaling(2, true, engine.Options{})
 	if len(tbl.Rows) < 2 {
 		t.Fatal("need at least two sizes")
 	}
@@ -116,7 +116,7 @@ func TestRenderAndMarkdown(t *testing.T) {
 
 func TestRunAll(t *testing.T) {
 	var buf bytes.Buffer
-	RunAll(&buf, 1, true, false)
+	RunAll(&buf, 1, true, false, engine.Options{})
 	if !strings.Contains(buf.String(), "E12") {
 		t.Fatal("RunAll did not render all experiments")
 	}
@@ -126,7 +126,7 @@ func TestRunAll(t *testing.T) {
 // determinism contract is what makes -workers a pure wall-clock knob).
 // The deprecated experiments.SetEngine process-wide shim was removed along
 // with baseline.SetEngine (see internal/baseline's TestSetEngineRemoved for
-// the full removal note); a build with no per-call options now always uses
+// the full removal note); a build with zero-value options always uses
 // the engine defaults, which the last comparison pins.
 func TestPerCallEngineOptions(t *testing.T) {
 	same := func(a, b Table) {
@@ -145,5 +145,5 @@ func TestPerCallEngineOptions(t *testing.T) {
 	ref := E16MaxKCover(3, true, engine.Options{Workers: 1})
 	same(ref, E16MaxKCover(3, true, engine.Options{Workers: 2, BatchSize: 64}))
 	same(ref, E16MaxKCover(3, true, engine.Options{Workers: 2, DisableSegmented: true}))
-	same(ref, E16MaxKCover(3, true)) // no per-call options: engine defaults
+	same(ref, E16MaxKCover(3, true, engine.Options{})) // zero-value options: engine defaults
 }

@@ -22,12 +22,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algo"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/maxcover"
+	"repro/internal/pd"
 	"repro/internal/scdisk"
+	"repro/internal/scdyn"
 	"repro/internal/serve"
 	"repro/internal/setcover"
 	"repro/internal/stream"
@@ -74,6 +77,11 @@ func libraryCover(t *testing.T, in *setcover.Instance, algo string) []int {
 		st, err = baseline.ChakrabartiWirthPartial(repo(), 2, 0, one)
 	case "dimv14":
 		st, err = baseline.DIMV14(repo(), baseline.DIMV14Options{Delta: 0.5, Seed: 1}, one)
+	case "pd":
+		res, perr := pd.BatchedPrimalDual(repo(), pd.Options{ElemBatch: 256, Engine: one})
+		st, err = res.Stats, perr
+	case "dyn":
+		st, err = scdyn.Solve(repo(), one)
 	default:
 		t.Fatalf("unknown algo %q", algo)
 	}
@@ -83,7 +91,8 @@ func libraryCover(t *testing.T, in *setcover.Instance, algo string) []int {
 	return st.Cover
 }
 
-var fleetAlgos = []string{"iter", "greedy1", "greedyn", "threshold", "sg09", "er14", "cw16", "dimv14"}
+// fleetAlgos is every wire algorithm, straight from the algorithm table.
+var fleetAlgos = algo.Names()
 
 // fleetNode is one live backend: a serve.Server on a real listener.
 type fleetNode struct {
@@ -220,7 +229,7 @@ func nodeMetrics(t *testing.T, url string) map[string]int64 {
 	return m
 }
 
-// Every algorithm, routed: the fleet's answer for each of the 8 algorithms is
+// Every algorithm, routed: the fleet's answer for each table algorithm is
 // byte-identical to the direct library call, whichever node rendezvous picks —
 // and the routing IS sticky (the same digest lands on the same node every
 // time).

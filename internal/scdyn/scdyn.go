@@ -119,7 +119,7 @@ type Op struct {
 }
 
 // Repo is a mutable repository: an open SCB1 base plus the decoded delta
-// log. It implements stream.Mutable; reads go through generation-pinned
+// log. Mutations go through Apply; reads go through generation-pinned
 // views (View, ViewAt). Safe for concurrent use — mutations serialize on an
 // internal mutex and never invalidate existing views.
 type Repo struct {
@@ -250,7 +250,7 @@ func (r *Repo) numSetsLocked(gen int) int {
 	return m
 }
 
-// Generation returns how many mutations have been applied (stream.Mutable).
+// Generation returns how many mutations have been applied.
 func (r *Repo) Generation() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -266,8 +266,7 @@ func (r *Repo) BaseDigest() string { return r.baseDigest }
 // about costs should refuse to mutate a weighted base.
 func (r *Repo) HasBaseWeights() bool { return r.base.HasWeights() }
 
-// ContentDigest returns the digest identifying the current family
-// (stream.Mutable).
+// ContentDigest returns the digest identifying the current family.
 func (r *Repo) ContentDigest() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -305,20 +304,6 @@ func (r *Repo) Records(from, to int) ([]Rec, error) {
 		out = append(out, Rec{Kind: OpKind(rec.kind), ID: rec.id, Elems: rec.elems})
 	}
 	return out, nil
-}
-
-// AppendSet implements stream.Mutable: one-record Apply.
-func (r *Repo) AppendSet(elems []setcover.Elem) (id int, digest string, err error) {
-	digest, err = r.Apply([]Op{{Kind: OpAppend, Elems: elems}})
-	if err != nil {
-		return 0, "", err
-	}
-	return r.NumSets() - 1, digest, nil
-}
-
-// Tombstone implements stream.Mutable: one-record Apply.
-func (r *Repo) Tombstone(id int) (digest string, err error) {
-	return r.Apply([]Op{{Kind: OpTombstone, ID: id}})
 }
 
 // Apply validates the whole batch against the projected post-batch state,
@@ -569,8 +554,5 @@ func boundedUvarint(br io.ByteReader, limit uint64) (uint64, error) {
 	return v, nil
 }
 
-// Compile-time capability assertions.
-var (
-	_ stream.Mutable    = (*Repo)(nil)
-	_ stream.Repository = (*View)(nil)
-)
+// Compile-time capability assertion.
+var _ stream.Repository = (*View)(nil)

@@ -54,20 +54,20 @@ func TestMutationsAdvanceIdentity(t *testing.T) {
 	}
 
 	seen := map[string]bool{r.ContentDigest(): true}
-	id, d1, err := r.AppendSet([]setcover.Elem{1, 5, 7})
+	d1, err := r.Apply([]Op{{Kind: OpAppend, Elems: []setcover.Elem{1, 5, 7}}})
 	if err != nil {
-		t.Fatalf("AppendSet: %v", err)
+		t.Fatalf("append: %v", err)
 	}
-	if id != 4 {
+	if id := r.NumSets() - 1; id != 4 {
 		t.Fatalf("appended id = %d, want 4", id)
 	}
 	if seen[d1] {
 		t.Fatalf("append did not mint a new digest")
 	}
 	seen[d1] = true
-	d2, err := r.Tombstone(1)
+	d2, err := r.Apply([]Op{{Kind: OpTombstone, ID: 1}})
 	if err != nil {
-		t.Fatalf("Tombstone: %v", err)
+		t.Fatalf("tombstone: %v", err)
 	}
 	if seen[d2] {
 		t.Fatalf("tombstone did not mint a new digest")
@@ -114,10 +114,10 @@ func TestApplyValidation(t *testing.T) {
 func TestReopenReplaysLog(t *testing.T) {
 	path := writeBase(t, smallInstance())
 	r := mustOpen(t, path)
-	if _, _, err := r.AppendSet([]setcover.Elem{1, 5, 7}); err != nil {
+	if _, err := r.Apply([]Op{{Kind: OpAppend, Elems: []setcover.Elem{1, 5, 7}}}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := r.Tombstone(0)
+	want, err := r.Apply([]Op{{Kind: OpTombstone, ID: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestReopenReplaysLog(t *testing.T) {
 	}
 
 	// Mutating after reopen continues the same chain.
-	if _, _, err := r2.AppendSet([]setcover.Elem{2}); err != nil {
+	if _, err := r2.Apply([]Op{{Kind: OpAppend, Elems: []setcover.Elem{2}}}); err != nil {
 		t.Fatalf("mutate after reopen: %v", err)
 	}
 }
@@ -153,10 +153,10 @@ func TestReopenReplaysLog(t *testing.T) {
 func TestTamperedLogFailsOpen(t *testing.T) {
 	path := writeBase(t, smallInstance())
 	r := mustOpen(t, path)
-	if _, _, err := r.AppendSet([]setcover.Elem{1, 5, 7}); err != nil {
+	if _, err := r.Apply([]Op{{Kind: OpAppend, Elems: []setcover.Elem{1, 5, 7}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Tombstone(2); err != nil {
+	if _, err := r.Apply([]Op{{Kind: OpTombstone, ID: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
@@ -210,10 +210,10 @@ func TestTamperedLogFailsOpen(t *testing.T) {
 func TestViewSnapshotIsolation(t *testing.T) {
 	r := mustOpen(t, writeBase(t, smallInstance()))
 	v0 := r.View()
-	if _, _, err := r.AppendSet([]setcover.Elem{1, 5, 7}); err != nil {
+	if _, err := r.Apply([]Op{{Kind: OpAppend, Elems: []setcover.Elem{1, 5, 7}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Tombstone(0); err != nil {
+	if _, err := r.Apply([]Op{{Kind: OpTombstone, ID: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	v2 := r.View()
@@ -295,10 +295,10 @@ func TestViewBatchMatchesNext(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := mustOpen(t, writeBase(t, in))
-	if _, err := r.Tombstone(3); err != nil {
+	if _, err := r.Apply([]Op{{Kind: OpTombstone, ID: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.AppendSet([]setcover.Elem{0, 499}); err != nil {
+	if _, err := r.Apply([]Op{{Kind: OpAppend, Elems: []setcover.Elem{0, 499}}}); err != nil {
 		t.Fatal(err)
 	}
 	v := r.View()

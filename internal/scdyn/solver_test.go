@@ -105,10 +105,10 @@ func TestSolveBackendConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := mustOpen(t, writeBase(t, in))
-	if _, err := r.Tombstone(5); err != nil {
+	if _, err := r.Apply([]Op{{Kind: OpTombstone, ID: 5}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.AppendSet([]setcover.Elem{0, 1, 2, 599}); err != nil {
+	if _, err := r.Apply([]Op{{Kind: OpAppend, Elems: []setcover.Elem{0, 1, 2, 599}}}); err != nil {
 		t.Fatal(err)
 	}
 	view := r.View()
@@ -238,7 +238,7 @@ func TestFallbackPathMatches(t *testing.T) {
 	if _, _, err := solver.EnsureAt(0, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.AppendSet([]setcover.Elem{0, 250, 499}); err != nil {
+	if _, err := r.Apply([]Op{{Kind: OpAppend, Elems: []setcover.Elem{0, 250, 499}}}); err != nil {
 		t.Fatal(err)
 	}
 	st, inc, err := solver.EnsureAt(r.Generation(), engine.Options{})
@@ -280,7 +280,7 @@ func TestInfeasibleAndBack(t *testing.T) {
 	if st.Valid {
 		t.Fatal("stats claim valid on an uncoverable family")
 	}
-	if _, _, err := r.AppendSet([]setcover.Elem{4, 5}); err != nil {
+	if _, err := r.Apply([]Op{{Kind: OpAppend, Elems: []setcover.Elem{4, 5}}}); err != nil {
 		t.Fatal(err)
 	}
 	st, inc, err := solver.EnsureAt(r.Generation(), engine.Options{})
@@ -309,7 +309,7 @@ func TestEnsureAtOldGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	want0, _ := refGreedy(mustMaterialize(t, r.View()))
-	if _, _, err := r.AppendSet([]setcover.Elem{0, 150, 299}); err != nil {
+	if _, err := r.Apply([]Op{{Kind: OpAppend, Elems: []setcover.Elem{0, 150, 299}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := solver.EnsureAt(1, engine.Options{}); err != nil {

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/algo"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/scdyn"
@@ -329,6 +330,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := req.checkWeights(inst); err != nil {
 		writeError(w, http.StatusBadRequest, CodeWeightMismatch, "%v", err)
+		return
+	}
+	a, _ := algo.Lookup(req.Algo) // validate checked the name
+	if err := a.CheckWeights(inst.Weighted); err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
 

@@ -15,11 +15,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algo"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/maxcover"
+	"repro/internal/pd"
 	"repro/internal/scdisk"
 	"repro/internal/setcover"
 	"repro/internal/stream"
@@ -171,13 +173,14 @@ func TestSolveMatchesLibraryAndCaches(t *testing.T) {
 	}
 }
 
-// Every dispatchable algorithm must agree with its direct library call —
-// the service adds queueing and caching, never different answers. Runs the
-// requests concurrently to exercise the multiplexing under -race.
+// Every algorithm must agree with its direct library call and with its
+// table row — the service adds queueing and caching, never different
+// answers. Runs the requests concurrently to exercise the multiplexing under
+// -race.
 func TestAllAlgorithmsConcurrently(t *testing.T) {
 	cat, in := testCatalog(t)
-	// MaxQueue is literal (0 = strict backpressure), so give the 8
-	// concurrent requests explicit waiting room.
+	// MaxQueue is literal (0 = strict backpressure), so give the concurrent
+	// requests explicit waiting room.
 	srv := NewServer(cat, Config{MaxConcurrent: 4, MaxQueue: DefaultMaxQueue, CacheSize: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -206,7 +209,27 @@ func TestAllAlgorithmsConcurrently(t *testing.T) {
 		{"greedyn", func() (setcover.Stats, error) {
 			return baseline.MultiPassGreedyPartial(stream.NewSliceRepo(in), 0, one)
 		}},
-		{"sg09", func() (setcover.Stats, error) { return maxcover.SahaGetoorSetCover(stream.NewSliceRepo(in)) }},
+		{"sg09", func() (setcover.Stats, error) {
+			return maxcover.SahaGetoorSetCover(stream.NewSliceRepo(in), engine.Options{})
+		}},
+	}
+	// Every row of the algorithm table is one more input, checked against
+	// the row's own Run on the same disk file under the wire's Params
+	// mapping: defaults δ=0.5, p=2, seed 1, and pd pinned to dedicated mode
+	// with element batch 256 (eps, its dual increment, defaults to 0).
+	inst, _ := cat.Get("planted")
+	wire := algo.Params{Delta: 0.5, Seed: 1, Passes: 2, PDMode: pd.ModeDedicated, PDBatch: 256}
+	for _, name := range algo.Names() {
+		a, _ := algo.Lookup(name)
+		cases = append(cases, algoCase{"table/" + name, func() (setcover.Stats, error) {
+			d, err := scdisk.Open(inst.Path)
+			if err != nil {
+				return setcover.Stats{}, err
+			}
+			defer d.Close()
+			res, err := a.Run(d, wire, one)
+			return res.Stats, err
+		}})
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, len(cases))
@@ -219,7 +242,9 @@ func TestAllAlgorithmsConcurrently(t *testing.T) {
 				errs[i] = fmt.Errorf("%s: reference: %w", c.name, err)
 				return
 			}
-			code, view, apiErr := postSolve(t, ts.URL, map[string]any{"instance": "planted", "algo": c.name})
+			code, view, apiErr := postSolve(t, ts.URL, map[string]any{
+				"instance": "planted", "algo": strings.TrimPrefix(c.name, "table/"),
+			})
 			if apiErr != nil || code != 200 {
 				errs[i] = fmt.Errorf("%s: status %d err %v", c.name, code, apiErr)
 				return

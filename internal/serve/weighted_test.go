@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -153,5 +154,31 @@ func TestServeWeightAssertions(t *testing.T) {
 	// min too high assertion above relies on WeightMin < WeightMax; guard it.
 	if !(winst.WeightMin < winst.WeightMax) {
 		t.Fatalf("degenerate weight range: %v..%v", winst.WeightMin, winst.WeightMax)
+	}
+}
+
+// A table row that ignores weights (dyn) must be refused on a weighted
+// instance with a structured 400 before admission: no solve runs and no
+// cache row is consulted. The same row still solves the unweighted twin.
+func TestServeRefusesUnweightedAlgoOnWeightedInstance(t *testing.T) {
+	cat, in := weightedCatalog(t)
+	srv := NewServer(cat, Config{MaxConcurrent: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	code, _, apiErr := postSolve(t, ts.URL, map[string]any{"instance": "weighted", "algo": "dyn"})
+	if code != 400 || apiErr == nil || apiErr.Code != CodeBadRequest || !strings.Contains(apiErr.Message, `"dyn"`) {
+		t.Fatalf("dyn on weighted: status %d err %v, want 400 %s naming dyn", code, apiErr, CodeBadRequest)
+	}
+	m := getMetrics(t, ts.URL)
+	if m["setcoverd_solves_total"] != 0 || m["setcoverd_cache_misses_total"] != 0 {
+		t.Fatalf("refused request reached admission: solves=%d misses=%d",
+			m["setcoverd_solves_total"], m["setcoverd_cache_misses_total"])
+	}
+
+	code, view, apiErr := postSolve(t, ts.URL, map[string]any{"instance": "plain", "algo": "dyn"})
+	if code != 200 || apiErr != nil || !view.Result.Valid || !in.IsCover(view.Result.Cover) {
+		t.Fatalf("dyn on plain: status %d err %v", code, apiErr)
 	}
 }

@@ -74,34 +74,6 @@ type SegmentSource interface {
 	Segment(start, end int) Reader
 }
 
-// DecodeCost classifies how much CPU work a SegmentSource spends producing
-// one set — the signal the pass engine uses to decide whether chunked
-// parallel decode can win anything.
-type DecodeCost int
-
-const (
-	// DecodeCostHeavy is real per-set CPU work (varint decode of a disk
-	// page, running a generator function): parallel chunk decode pays for
-	// its fan-out. The zero value — an absent signal means heavy, so
-	// sources that do not implement DecodeCoster keep the segmented path.
-	DecodeCostHeavy DecodeCost = iota
-	// DecodeCostTrivial is a header memcpy or cheaper (SliceRepo hands out
-	// pre-built sets): there is nothing to parallelize, and the engine
-	// drives the pass as one sequential segment instead of paying the
-	// chunk fan-out and reorder overhead for no decode win.
-	DecodeCostTrivial
-)
-
-// DecodeCoster is the optional decode-cost signal a SegmentSource may
-// implement. The pass engine probes it after BeginSegmented (the pass is
-// already counted either way): a trivial source is read as the single
-// segment [0, m) on one goroutine, a heavy (or silent) source is decoded as
-// parallel chunks. Results are identical in both modes — this is purely a
-// wall-clock signal.
-type DecodeCoster interface {
-	DecodeCost() DecodeCost
-}
-
 // SegmentPlanner is the optional chunk-planning hook a SegmentSource may
 // implement when it knows the per-set decode COST — in practice the encoded
 // byte length, which a disk repository's seek index records. PlanSegments
@@ -171,38 +143,6 @@ type Recycler interface {
 type Weighted interface {
 	HasWeights() bool
 	Weight(id int) float64
-}
-
-// Mutable is the optional capability of a repository whose set family can
-// CHANGE after creation: sets may be appended (new IDs at the end of the
-// stream) and tombstoned (the set keeps its ID but streams empty from then
-// on). It is the write-side counterpart of Repository, implemented by
-// internal/scdyn over an SCB1 base file plus an additive delta log.
-//
-// The identity contract is the load-bearing part: every successful mutation
-// produces a NEW content digest (a hash chain over the base digest and every
-// delta record), so a mutated family can never alias a cache entry, a routing
-// decision, or a pooled handle that was keyed by the pre-mutation digest.
-// Generation counts applied mutations; (Generation, ContentDigest) advance
-// together and a given generation's digest never changes once minted.
-//
-// Mutations are serialized by the implementation and safe to call
-// concurrently with passes over previously obtained views — a view is a
-// snapshot pinned to the generation it was taken at, which is what lets a
-// solve that started before a mutation finish against pre-mutation content.
-type Mutable interface {
-	// AppendSet adds a set with the given sorted-unique elements in [0, n)
-	// and returns its new ID (always the current NumSets) and the
-	// post-mutation content digest.
-	AppendSet(elems []setcover.Elem) (id int, digest string, err error)
-	// Tombstone empties the set with the given ID (it keeps its stream
-	// position) and returns the post-mutation content digest. Tombstoning an
-	// unknown or already-tombstoned ID is an error.
-	Tombstone(id int) (digest string, err error)
-	// ContentDigest returns the digest identifying the CURRENT family.
-	ContentDigest() string
-	// Generation returns how many mutations have been applied.
-	Generation() int
 }
 
 // HasWeights reports whether r carries a per-set cost vector.
@@ -289,24 +229,6 @@ func (r *SliceRepo) Begin() Reader {
 	r.passes.Add(1)
 	return &sliceReader{sets: r.inst.Sets}
 }
-
-// BeginSegmented implements SegmentedRepository: an in-memory family can
-// always be read from any set index, so every pass is segmentable.
-func (r *SliceRepo) BeginSegmented() (SegmentSource, bool) {
-	r.passes.Add(1)
-	return sliceSegSource{sets: r.inst.Sets}, true
-}
-
-type sliceSegSource struct{ sets []setcover.Set }
-
-func (s sliceSegSource) Segment(start, end int) Reader {
-	return &sliceReader{sets: s.sets[:end], pos: start}
-}
-
-// DecodeCost implements DecodeCoster: handing out an in-memory set is a
-// header copy, so parallel chunk decode has nothing to win and the engine
-// reads the pass as one sequential segment at any worker count.
-func (s sliceSegSource) DecodeCost() DecodeCost { return DecodeCostTrivial }
 
 type sliceReader struct {
 	sets []setcover.Set
