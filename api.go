@@ -217,7 +217,8 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 type (
 	// OfflineSolver solves in-memory SetCover instances.
 	OfflineSolver = offline.Solver
-	// GreedySolver is the ln(n)-approximate greedy (ρ = ln n).
+	// GreedySolver is the ln(n)-approximate greedy (ρ = ln n), run by the
+	// one greedy kernel of DESIGN.md §3.
 	GreedySolver = offline.Greedy
 	// ExactSolver is the optimal branch-and-bound (ρ = 1).
 	ExactSolver = offline.Exact
@@ -589,8 +590,8 @@ var (
 	OpenDynamic = scdyn.Open
 	// NewDynamicSolver builds an incremental solver over a DynamicRepo.
 	NewDynamicSolver = scdyn.NewSolver
-	// DynamicSolve runs the density-level greedy once over any Repository —
-	// the stateless form of the incremental solver (algo "dyn").
+	// DynamicSolve runs the greedy kernel once over any Repository, weighted
+	// or not — the stateless form of the incremental solver (algo "dyn").
 	DynamicSolve = scdyn.Solve
 )
 

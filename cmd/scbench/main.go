@@ -4,9 +4,11 @@
 //
 // The matrix crosses family shape (uniform vs byte-skewed), read backend
 // (positional reads vs mmap), and decode parallelism (workers, exercising the
-// byte-balanced segmented planner), plus greedy solve cases that put the
-// bitset hot loops on the clock. Each case reports nanoseconds per pass,
-// MB/s, and the decode-buffer pool's lock-acquisition delta.
+// byte-balanced segmented planner), plus solve cases: greedy1 on every
+// (family, backend) cell, iter and dimv14 — whose time goes to offline
+// greedy sub-solves between passes — on uniform/mmap, and the dyn pair. Each
+// case reports nanoseconds per pass, MB/s, and the decode-buffer pool's
+// lock-acquisition delta.
 //
 // Because absolute throughput is machine-bound, every report carries a
 // calibration measurement: a fixed CPU-bound workload that does NOT touch any
@@ -35,7 +37,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/baseline"
+	"repro/internal/algo"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/obs"
@@ -236,6 +238,11 @@ func runMatrix(quick bool, runs int, progress io.Writer) (*BenchReport, error) {
 		Go:      runtime.Version(),
 		CalibNs: calibrate(runs),
 	}
+	record := func(bc BenchCase) {
+		fmt.Fprintf(progress, "scbench: %-28s %8.2fms %8.1f MB/s  pool_locks=%d\n",
+			bc.Name, float64(bc.NsPerPass)/1e6, bc.MBPerSec, bc.PoolLocks)
+		rep.Cases = append(rep.Cases, bc)
+	}
 
 	dir, err := os.MkdirTemp("", "scbench")
 	if err != nil {
@@ -267,7 +274,7 @@ func runMatrix(quick bool, runs int, progress io.Writer) (*BenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	weightedPath, err := writeWeightedFamily(dir, "weighted-skewed", size.n, size.m, skewGen, ws)
+	files["weighted-skewed"], err = writeWeightedFamily(dir, "weighted-skewed", size.n, size.m, skewGen, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -278,56 +285,45 @@ func runMatrix(quick bool, runs int, progress io.Writer) (*BenchReport, error) {
 	}
 	backends := []backend{{"readat", nil}, {"mmap", []scdisk.OpenOption{scdisk.ReadOnlyMmap()}}}
 
-	for _, family := range []string{"uniform", "skewed"} {
+	for _, family := range []string{"uniform", "skewed", "weighted-skewed"} {
 		for _, be := range backends {
 			d, err := scdisk.Open(files[family], be.opts...)
 			if err != nil {
 				return nil, err
 			}
 			for _, workers := range []int{1, 2} {
+				if family == "weighted-skewed" {
+					break // the skewed family's bytes: only its solve case differs
+				}
 				name := fmt.Sprintf("scan/%s/%s/w%d", family, be.name, workers)
 				bc, err := measureScan(name, d, workers, runs)
 				if err != nil {
 					d.Close()
 					return nil, err
 				}
-				fmt.Fprintf(progress, "scbench: %-28s %8.2fms %8.1f MB/s  pool_locks=%d\n",
-					bc.Name, float64(bc.NsPerPass)/1e6, bc.MBPerSec, bc.PoolLocks)
-				rep.Cases = append(rep.Cases, bc)
+				record(bc)
 			}
-			// One solve case per (family, backend): greedy over the full
-			// stream, the bitset-hot-loop workload.
-			name := fmt.Sprintf("solve/greedy1/%s/%s", family, be.name)
-			bc, err := measureSolve(name, d, runs)
-			if err != nil {
-				d.Close()
-				return nil, err
+			// Solve cases: greedy1 on every (family, backend) cell — by
+			// cost-effectiveness on the weighted family — plus iter (Figure
+			// 1.3) and dimv14 on uniform/mmap, whose time goes to offline
+			// greedy sub-solves between passes.
+			solves := []string{"greedy1"}
+			if family == "uniform" && be.name == "mmap" {
+				solves = append(solves, "iter", "dimv14")
 			}
-			fmt.Fprintf(progress, "scbench: %-28s %8.2fms %8.1f MB/s  pool_locks=%d\n",
-				bc.Name, float64(bc.NsPerPass)/1e6, bc.MBPerSec, bc.PoolLocks)
-			rep.Cases = append(rep.Cases, bc)
+			for _, name := range solves {
+				row, _ := algo.Lookup(name)
+				bc, err := measureSolve(fmt.Sprintf("solve/%s/%s/%s", name, family, be.name), d, runs, row)
+				if err != nil {
+					d.Close()
+					return nil, err
+				}
+				record(bc)
+			}
 			d.Close()
 		}
 	}
 
-	// One weighted solve case per backend: the greedy hot loop with the
-	// cost-effectiveness argmax (gain·w comparisons) instead of plain gain.
-	for _, be := range backends {
-		d, err := scdisk.Open(weightedPath, be.opts...)
-		if err != nil {
-			return nil, err
-		}
-		name := fmt.Sprintf("solve/greedy1/weighted-skewed/%s", be.name)
-		bc, err := measureSolve(name, d, runs)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		fmt.Fprintf(progress, "scbench: %-28s %8.2fms %8.1f MB/s  pool_locks=%d\n",
-			bc.Name, float64(bc.NsPerPass)/1e6, bc.MBPerSec, bc.PoolLocks)
-		rep.Cases = append(rep.Cases, bc)
-		d.Close()
-	}
 	// The dynamic-maintenance pair: a from-scratch solve of a mutable uniform
 	// family versus an incremental re-solve after a 1% mutation batch. The
 	// pair is the recorded evidence for the dynamic layer's contract — the
@@ -338,9 +334,7 @@ func runMatrix(quick bool, runs int, progress io.Writer) (*BenchReport, error) {
 		return nil, err
 	}
 	for _, bc := range dynCases {
-		fmt.Fprintf(progress, "scbench: %-28s %8.2fms %8.1f MB/s  pool_locks=%d\n",
-			bc.Name, float64(bc.NsPerPass)/1e6, bc.MBPerSec, bc.PoolLocks)
-		rep.Cases = append(rep.Cases, bc)
+		record(bc)
 	}
 	sort.Slice(rep.Cases, func(i, j int) bool { return rep.Cases[i].Name < rep.Cases[j].Name })
 	return rep, nil
@@ -381,7 +375,7 @@ func measureDynPair(path string, size matrixSize, runs int) ([]BenchCase, error)
 		}
 		return nil
 	}
-	if err := measureFn(&full, runs, solveView); err != nil {
+	if err := measure(&full, nil, runs, solveView); err != nil {
 		return nil, err
 	}
 	rec := &obs.Recorder{}
@@ -450,38 +444,10 @@ func measureDynPair(path string, size matrixSize, runs int) ([]BenchCase, error)
 		return nil
 	}
 	delta := BenchCase{Name: "solve/dyn/delta1pct/uniform", Sets: r.NumSets(), Bytes: bytes, Runs: runs}
-	if err := measureFn(&delta, runs, mutateAndSolve); err != nil {
+	if err := measure(&delta, nil, runs, mutateAndSolve); err != nil {
 		return nil, err
 	}
 	return []BenchCase{full, delta}, nil
-}
-
-// measureFn is measure without a disk repo to read pool-lock counters from —
-// the dynamic cases go through their own repository plumbing.
-func measureFn(bc *BenchCase, runs int, fn func() error) error {
-	start := time.Now()
-	if err := fn(); err != nil {
-		return err
-	}
-	est := time.Since(start).Nanoseconds()
-	reps := 1
-	if est < minSampleNs {
-		reps = int(minSampleNs/float64(est)) + 1
-	}
-	bc.NsPerPass = est
-	for r := 0; r < runs; r++ {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if err := fn(); err != nil {
-				return err
-			}
-		}
-		if ns := time.Since(start).Nanoseconds() / int64(reps); ns < bc.NsPerPass {
-			bc.NsPerPass = ns
-		}
-	}
-	bc.MBPerSec = float64(bc.Bytes) / (float64(bc.NsPerPass) / 1e9) / (1 << 20)
-	return nil
 }
 
 // writeFamily spills a generated family to an indexed SCB1 file.
@@ -551,8 +517,16 @@ const minSampleNs = 100e6
 
 // measure times fn (one pass) benchmark-style — an estimating pass picks a
 // repetition count so each of the `runs` samples lasts ≥minSampleNs, and the
-// best per-pass time wins — filling NsPerPass and PoolLocks of bc.
+// best per-pass time wins — filling NsPerPass and, when d is not nil (the
+// dynamic cases read through their own repository plumbing), PoolLocks of
+// bc.
 func measure(bc *BenchCase, d *scdisk.Repo, runs int, fn func() error) error {
+	locks := func() int64 {
+		if d == nil {
+			return 0
+		}
+		return d.PoolLockAcquisitions()
+	}
 	start := time.Now()
 	if err := fn(); err != nil {
 		return err
@@ -564,7 +538,7 @@ func measure(bc *BenchCase, d *scdisk.Repo, runs int, fn func() error) error {
 	}
 	bc.NsPerPass = est
 	for r := 0; r < runs; r++ {
-		locks0 := d.PoolLockAcquisitions()
+		locks0 := locks()
 		start := time.Now()
 		for i := 0; i < reps; i++ {
 			if err := fn(); err != nil {
@@ -572,7 +546,7 @@ func measure(bc *BenchCase, d *scdisk.Repo, runs int, fn func() error) error {
 			}
 		}
 		ns := time.Since(start).Nanoseconds() / int64(reps)
-		locksPer := (d.PoolLockAcquisitions() - locks0) / int64(reps)
+		locksPer := (locks() - locks0) / int64(reps)
 		if r == 0 {
 			bc.PoolLocks = locksPer // the estimating pass recorded none
 		}
@@ -629,11 +603,16 @@ func measureScan(name string, d *scdisk.Repo, workers, runs int) (BenchCase, err
 	return bc, nil
 }
 
-func measureSolve(name string, d *scdisk.Repo, runs int) (BenchCase, error) {
+// measureSolve times one solve case: the algorithm table's row at the CLI
+// defaults (δ = 0.5, seed 1).
+func measureSolve(name string, d *scdisk.Repo, runs int, row algo.Algorithm) (BenchCase, error) {
 	bc := BenchCase{Name: name, Sets: d.NumSets(), Bytes: dataBytes(d), Runs: runs}
+	solve := func(eng engine.Options) (algo.Result, error) {
+		return row.Run(d, algo.Params{Delta: 0.5, Seed: 1}, eng)
+	}
 	refCover := -1
 	err := measure(&bc, d, runs, func() error {
-		st, err := baseline.OnePassGreedy(d, engine.Options{})
+		st, err := solve(engine.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -648,7 +627,7 @@ func measureSolve(name string, d *scdisk.Repo, runs int) (BenchCase, error) {
 		return bc, err
 	}
 	rec := &obs.Recorder{}
-	if _, err := baseline.OnePassGreedy(d, engine.Options{Tracer: rec}); err != nil {
+	if _, err := solve(engine.Options{Tracer: rec}); err != nil {
 		return bc, fmt.Errorf("%s: traced run: %w", name, err)
 	}
 	traceFill(&bc, rec)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algo"
 	"repro/internal/gen"
 	"repro/internal/scdisk"
 )
@@ -116,7 +117,8 @@ func TestMeasureSmoke(t *testing.T) {
 				t.Fatalf("%s w=%d: implausible case %+v", be.name, w, bc)
 			}
 		}
-		bc, err := measureSolve("solve/smoke/"+be.name, d, 2)
+		greedy1, _ := algo.Lookup("greedy1")
+		bc, err := measureSolve("solve/smoke/"+be.name, d, 2, greedy1)
 		if err != nil {
 			t.Fatal(err)
 		}

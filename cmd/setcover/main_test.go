@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -45,10 +47,9 @@ func TestSolveFromDiskEndToEnd(t *testing.T) {
 	}
 }
 
-// An algorithm that ignores weights (dyn) must refuse a weighted file with
-// exit 2 and an error naming it, instead of printing a valid-looking cover
-// whose cost it never minimized. A cost-minimizing algorithm still solves it.
-func TestWeightedFileRefusesUnweightedAlgo(t *testing.T) {
+// -algo dyn honors SCWT weights: on a weighted disk instance it selects
+// exactly greedyn's sets, at the same cost.
+func TestDynMatchesGreedynOnWeighted(t *testing.T) {
 	in, _, _, err := ssc.Planted(ssc.PlantedConfig{N: 300, M: 650, K: 15, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -65,18 +66,40 @@ func TestWeightedFileRefusesUnweightedAlgo(t *testing.T) {
 	if err := ssc.WriteInstanceFile(path, in); err != nil {
 		t.Fatal(err)
 	}
-	var out, errb bytes.Buffer
-	if code := run([]string{"-algo", "dyn", "-format", "disk", "-in", path}, strings.NewReader(""), &out, &errb); code != 2 {
-		t.Fatalf("dyn on weighted: exit %d, want 2\nstdout: %s", code, out.String())
+	lines := map[string]map[string]string{}
+	for _, algo := range []string{"dyn", "greedyn"} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-algo", algo, "-format", "disk", "-in", path, "-print-cover"}, strings.NewReader(""), &out, &errb); code != 0 {
+			t.Fatalf("%s: exit %d\n%s%s", algo, code, out.String(), errb.String())
+		}
+		lines[algo] = map[string]string{}
+		for _, l := range strings.Split(out.String(), "\n") {
+			if k, v, ok := strings.Cut(l, ":"); ok {
+				lines[algo][k] = strings.TrimSpace(v)
+			}
+		}
 	}
-	if out.Len() != 0 || !strings.Contains(errb.String(), `"dyn"`) {
-		t.Fatalf("dyn on weighted: stdout %q, stderr %q; want no stdout and an error naming dyn", out.String(), errb.String())
+	dyn, greedyn := lines["dyn"], lines["greedyn"]
+	if dyn["cover cost"] == "" || dyn["cover cost"] != greedyn["cover cost"] || dyn["cover size"] != greedyn["cover size"] {
+		t.Fatalf("dyn %q / %q, greedyn %q / %q", dyn["cover size"], dyn["cover cost"], greedyn["cover size"], greedyn["cover cost"])
 	}
-	out.Reset()
-	if code := run([]string{"-algo", "greedyn", "-format", "disk", "-in", path}, strings.NewReader(""), &out, &bytes.Buffer{}); code != 0 ||
-		!strings.Contains(out.String(), "cover cost:") {
-		t.Fatalf("greedyn on weighted: exit %d\n%s", code, out.String())
+	if d, g := coverIDs(t, dyn["cover"]), coverIDs(t, greedyn["cover"]); !slices.Equal(d, slices.Sorted(slices.Values(g))) {
+		t.Fatalf("dyn cover %v, greedyn cover %v", d, g)
 	}
+}
+
+// coverIDs parses the "cover:" line of -print-cover output.
+func coverIDs(t *testing.T, line string) []int {
+	t.Helper()
+	var ids []int
+	for _, f := range strings.Fields(strings.Trim(line, "[]")) {
+		id, err := strconv.Atoi(f)
+		if err != nil {
+			t.Fatalf("cover line %q: %v", line, err)
+		}
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // The same instance solved from disk and from memory must report the same

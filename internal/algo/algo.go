@@ -54,34 +54,14 @@ type Result struct {
 	Report string
 }
 
-// Algorithm is one row of the table.
+// Algorithm is one row of the table. Every row minimizes total cost on a
+// repository carrying per-set weights.
 type Algorithm struct {
 	// Name is the wire and -algo name.
 	Name string
-	// Weighted reports whether the algorithm minimizes total cost on a
-	// repository carrying per-set weights. Run refuses weighted
-	// repositories when it is false.
-	Weighted bool
-	run      func(repo stream.Repository, p Params, eng engine.Options) (Result, error)
-}
-
-// CheckWeights returns an error naming the algorithm when the instance is
-// weighted and the algorithm ignores weights. It is the only place that
-// rule is applied: Run calls it, and the server calls it on catalog metadata
-// before a request is admitted.
-func (a Algorithm) CheckWeights(weighted bool) error {
-	if weighted && !a.Weighted {
-		return fmt.Errorf("algorithm %q ignores set weights and cannot solve a weighted instance", a.Name)
-	}
-	return nil
-}
-
-// Run solves repo with p, running every pass on an engine built from eng.
-func (a Algorithm) Run(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
-	if err := a.CheckWeights(stream.HasWeights(repo)); err != nil {
-		return Result{}, err
-	}
-	return a.run(repo, p, eng)
+	// Run solves repo with p, running every pass on an engine built from
+	// eng.
+	Run func(repo stream.Repository, p Params, eng engine.Options) (Result, error)
 }
 
 // stats adapts an entry point returning plain Stats to a row's run.
@@ -90,7 +70,7 @@ func stats(st setcover.Stats, err error) (Result, error) {
 }
 
 var table = []Algorithm{
-	{Name: "iter", Weighted: true, run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
+	{Name: "iter", Run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
 		opts := core.Options{Delta: p.Delta, Seed: p.Seed, PartialEps: p.Eps, Engine: eng}
 		if p.ExactOffline {
 			opts.Offline = offline.Exact{}
@@ -99,28 +79,28 @@ var table = []Algorithm{
 		return Result{Stats: res.Stats, BestK: res.BestK,
 			Report: fmt.Sprintf("best guess k: %d", res.BestK)}, err
 	}},
-	{Name: "greedy1", Weighted: true, run: func(repo stream.Repository, _ Params, eng engine.Options) (Result, error) {
+	{Name: "greedy1", Run: func(repo stream.Repository, _ Params, eng engine.Options) (Result, error) {
 		return stats(baseline.OnePassGreedy(repo, eng))
 	}},
-	{Name: "greedyn", Weighted: true, run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
+	{Name: "greedyn", Run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
 		return stats(baseline.MultiPassGreedyPartial(repo, p.Eps, eng))
 	}},
-	{Name: "threshold", Weighted: true, run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
+	{Name: "threshold", Run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
 		return stats(baseline.ThresholdGreedyPartial(repo, p.Eps, eng))
 	}},
-	{Name: "sg09", Weighted: true, run: func(repo stream.Repository, _ Params, eng engine.Options) (Result, error) {
+	{Name: "sg09", Run: func(repo stream.Repository, _ Params, eng engine.Options) (Result, error) {
 		return stats(maxcover.SahaGetoorSetCover(repo, eng))
 	}},
-	{Name: "er14", Weighted: true, run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
+	{Name: "er14", Run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
 		return stats(baseline.EmekRosenPartial(repo, p.Eps, eng))
 	}},
-	{Name: "cw16", Weighted: true, run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
+	{Name: "cw16", Run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
 		return stats(baseline.ChakrabartiWirthPartial(repo, p.Passes, p.Eps, eng))
 	}},
-	{Name: "dimv14", Weighted: true, run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
+	{Name: "dimv14", Run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
 		return stats(baseline.DIMV14(repo, baseline.DIMV14Options{Delta: p.Delta, Seed: p.Seed}, eng))
 	}},
-	{Name: "pd", Weighted: true, run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
+	{Name: "pd", Run: func(repo stream.Repository, p Params, eng engine.Options) (Result, error) {
 		res, err := pd.BatchedPrimalDual(repo, pd.Options{
 			Mode: p.PDMode, Epsilon: p.PDEps, ElemBatch: p.PDBatch, Engine: eng,
 		})
@@ -128,8 +108,8 @@ var table = []Algorithm{
 			res.Batches, res.Rounds, res.MaxFrequency)}, err
 	}},
 	// dyn is the from-scratch form of the exact greedy behind dynamic
-	// instances. Its density levels count elements, not cost.
-	{Name: "dyn", Weighted: false, run: func(repo stream.Repository, _ Params, eng engine.Options) (Result, error) {
+	// instances.
+	{Name: "dyn", Run: func(repo stream.Repository, _ Params, eng engine.Options) (Result, error) {
 		return stats(scdyn.Solve(repo, eng))
 	}},
 }

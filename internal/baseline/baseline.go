@@ -189,25 +189,20 @@ type bestSetObserver struct {
 func (o *bestSetObserver) BeginPass() { o.gain, o.id, o.w = 0, -1, 1 }
 func (o *bestSetObserver) EndPass()   {}
 func (o *bestSetObserver) Observe(batch []setcover.Set) {
-	if o.weight == nil {
-		for _, s := range batch {
-			if g := o.uncovered.IntersectionWithSlice(s.Elems); g > o.gain {
-				o.gain, o.id = g, s.ID
-				o.elems = append(o.elems[:0], s.Elems...)
-			}
-		}
-		return
-	}
 	for _, s := range batch {
 		g := o.uncovered.IntersectionWithSlice(s.Elems)
 		if g == 0 {
 			continue
 		}
-		// Candidate wins on strictly better cost-effectiveness:
-		// g/w > gain/o.w, compared by cross-multiplication (exact for unit
-		// weights; division-free otherwise). The strict > keeps the earliest
-		// stream position on ties, exactly like the unweighted argmax.
-		if w := o.weight(s.ID); float64(g)*o.w > float64(o.gain)*w {
+		// Candidate wins on strictly better cost-effectiveness g/w >
+		// gain/o.w, compared exactly by offline.RatioCmp — the pick rule of
+		// offline.GreedyKernel, so greedyn, greedy1 and dyn select alike.
+		// The strict > keeps the earliest stream position on ties.
+		w := 1.0
+		if o.weight != nil {
+			w = o.weight(s.ID)
+		}
+		if offline.RatioCmp(g, w, o.gain, o.w) > 0 {
 			o.gain, o.id, o.w = g, s.ID, w
 			o.elems = append(o.elems[:0], s.Elems...)
 		}
@@ -573,8 +568,7 @@ func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts engine.Options) 
 		// cost, one word, on weighted repositories — the offline solve below
 		// needs it).
 		var projWords int64
-		var projIDs []int
-		var projElems [][]setcover.Elem
+		var projSets []setcover.Set
 		var projWs []float64
 		errA := eng.Run(repo, engine.Func(func(batch []setcover.Set) {
 			for _, set := range batch {
@@ -588,8 +582,7 @@ func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts engine.Options) 
 						proj = append(proj, e)
 					}
 				}
-				projElems = append(projElems, proj)
-				projIDs = append(projIDs, set.ID)
+				projSets = append(projSets, setcover.Set{ID: set.ID, Elems: proj})
 				w := stream.WordsForElems(len(proj)) + 1
 				if weight != nil {
 					projWs = append(projWs, weight(set.ID))
@@ -603,40 +596,27 @@ func DIMV14(repo stream.Repository, opts DIMV14Options, engOpts engine.Options) 
 			return failPass(st, repo, tracker, errA)
 		}
 
-		// Offline greedy on the sampled sub-instance.
-		newIdx := make(map[setcover.Elem]setcover.Elem)
-		next := setcover.Elem(0)
-		s.ForEach(func(i int) bool {
-			newIdx[setcover.Elem(i)] = next
-			next++
+		// Offline greedy on the sampled sub-instance: the kernel runs on the
+		// projections as stored, with every element outside the sample
+		// pre-covered.
+		outside := bitset.New(n)
+		outside.Fill()
+		outside.Subtract(s)
+		var subCover []int
+		if offline.GreedyKernel(n, projSets, projWs, outside, func(i, _ int, _ []setcover.Elem) bool {
+			subCover = append(subCover, i)
 			return true
-		})
-		sub := &setcover.Instance{N: int(next)}
-		for i, proj := range projElems {
-			elems := make([]setcover.Elem, 0, len(proj))
-			for _, e := range proj {
-				elems = append(elems, newIdx[e])
-			}
-			sub.Sets = append(sub.Sets, setcover.Set{ID: len(sub.Sets), Elems: elems})
-			if projWs != nil {
-				sub.Weights = append(sub.Weights, projWs[i])
-			}
-		}
-		sub.Normalize()
-		subCover, err := (offline.Greedy{}).Solve(sub)
-		if err != nil {
+		}) > 0 {
 			st.Passes = repo.Passes()
 			st.SpaceWords = tracker.Peak()
 			return st, ErrInfeasible
 		}
 		picked := make(map[int]bool, len(subCover))
-		for _, sid := range subCover {
-			orig := projIDs[sid]
-			if !picked[orig] {
-				picked[orig] = true
-				cover = append(cover, orig)
-				tracker.Grow(1)
-			}
+		for _, i := range subCover {
+			orig := projSets[i].ID
+			picked[orig] = true
+			cover = append(cover, orig)
+			tracker.Grow(1)
 		}
 
 		// Pass B: remove everything the new picks cover.

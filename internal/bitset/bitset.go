@@ -11,6 +11,7 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -251,6 +252,29 @@ func (b *Bitset) Slice() []int32 {
 		return true
 	})
 	return out
+}
+
+// Ranks returns the per-word popcount rank table of b, reusing dst: for
+// every word, the number of members in the words before it.
+func (b *Bitset) Ranks(dst []int32) []int32 {
+	dst = slices.Grow(dst[:0], len(b.words))[:len(b.words)]
+	c := int32(0)
+	for i, w := range b.words {
+		dst[i] = c
+		c += int32(bits.OnesCount64(w))
+	}
+	return dst
+}
+
+// Rank reports whether i is a member and, if so, how many members are
+// smaller than i. ranks must be Ranks of b's current contents.
+func (b *Bitset) Rank(ranks []int32, i int) (int, bool) {
+	w := b.words[i/wordBits]
+	bit := uint64(1) << (uint(i) % wordBits)
+	if w&bit == 0 {
+		return 0, false
+	}
+	return int(ranks[i/wordBits]) + bits.OnesCount64(w&(bit-1)), true
 }
 
 // NextSet returns the smallest element >= i, or -1 if none exists.

@@ -15,7 +15,8 @@ import (
 	"repro/internal/stream"
 )
 
-// conformanceRepos builds the three storage backends over the same instance.
+// conformanceRepos builds the three storage backends over the same instance,
+// with its weights when it has them.
 // Algorithms must be unable to tell them apart: covers, pass counts, and
 // space charges have to be byte-identical, because the model's Repository is
 // the only thing they are allowed to observe.
@@ -28,11 +29,15 @@ func conformanceRepos(t testing.TB, in *setcover.Instance) map[string]func() str
 	return map[string]func() stream.Repository{
 		"slice": func() stream.Repository { return stream.NewSliceRepo(in) },
 		"func": func() stream.Repository {
-			return stream.NewFuncRepo(in.N, in.M(), func(id int) setcover.Set {
+			fr := stream.NewFuncRepo(in.N, in.M(), func(id int) setcover.Set {
 				es := make([]setcover.Elem, len(in.Sets[id].Elems))
 				copy(es, in.Sets[id].Elems)
 				return setcover.Set{ID: id, Elems: es}
 			})
+			if in.Weights != nil {
+				fr.SetWeightFunc(in.Weight)
+			}
+			return fr
 		},
 		"disk": func() stream.Repository {
 			d, err := scdisk.Open(path)

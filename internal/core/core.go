@@ -32,6 +32,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
@@ -81,7 +83,9 @@ func PracticalSizer(scale, delta float64) SampleSizer {
 type Options struct {
 	// Delta is the paper's δ ∈ (0, 1]: 2/δ passes, Õ(m·n^δ) space.
 	Delta float64
-	// Offline is algOfflineSC. Defaults to offline.Greedy{}.
+	// Offline is algOfflineSC. Defaults to offline.Greedy{}. The guesses
+	// call Solve from several goroutines at once, so it must be safe for
+	// concurrent use.
 	Offline offline.Solver
 	// Sizer picks the per-iteration sample size. Defaults to
 	// PracticalSizer(1, Delta).
@@ -123,6 +127,7 @@ type Options struct {
 	// Engine configures the shared pass executor (internal/engine) that
 	// fans every physical pass out to the parallel guesses: Workers
 	// goroutines (default GOMAXPROCS) consuming batches of BatchSize sets.
+	// The guesses' offline solves between passes run on as many.
 	// Results, pass counts, and space accounting are identical for every
 	// setting — each guess owns disjoint state and sees the stream in
 	// order — so this is purely a wall-clock knob.
@@ -170,12 +175,19 @@ type guessRun struct {
 
 	// Per-iteration state (rebuilt each iteration).
 	sampleSize int
-	left       *bitset.Bitset    // L: uncovered sampled elements
-	projElems  [][]setcover.Elem // stored projections r∩L
-	projIDs    []int             // original stream IDs of stored projections
-	projWs     []float64         // stored weights (weighted repos only; nil otherwise)
-	newPicks   *bitset.Bitset    // over the m stream IDs: sets picked this iteration (heavy + offline)
-	iterWords  int64             // space charged for this iteration's state
+	left       *bitset.Bitset  // L: uncovered sampled elements
+	projElems  []setcover.Elem // stored projections r∩L, back to back in one arena
+	projEnds   []int           // projection i is projElems[projEnds[i-1]:projEnds[i]]
+	projIDs    []int           // original stream IDs of stored projections
+	projWs     []float64       // stored weights (weighted repos only; nil otherwise)
+	newPicks   *bitset.Bitset  // over the m stream IDs: sets picked this iteration (heavy + offline)
+	iterWords  int64           // space charged for this iteration's state
+
+	// Sub-instance scratch for solveOffline, reused across iterations.
+	ranks   []int32
+	sub     setcover.Instance
+	subElem []setcover.Elem
+	subIDs  []int
 }
 
 // IterSetCover runs the Figure 1.3 algorithm over the repository.
@@ -253,20 +265,19 @@ func IterSetCover(repo stream.Repository, opts Options) (Result, error) {
 		var iterProjWords int64
 		for _, g := range runs {
 			if !g.done && !g.failed {
-				iterProjWords += stream.WordsForElems(totalProjElems(g))
+				iterProjWords += stream.WordsForElems(len(g.projElems))
 			}
 		}
 		if iterProjWords > projPeak {
 			projPeak = iterProjWords
 		}
 
-		// Offline solve per guess (no pass over F — Lemma 2.1).
-		for _, g := range runs {
-			if g.done || g.failed {
-				continue
-			}
-			g.solveOffline(opts, tracker)
-		}
+		// Offline solve per guess (no pass over F — Lemma 2.1). The
+		// guesses' sub-solves are independent executions over disjoint
+		// state, so they run on the engine's workers. The tracker only
+		// grows here, so its high-water mark does not depend on the order
+		// they finish in.
+		forEachLive(runs, eng.Workers(), func(g *guessRun) { g.solveOffline(opts, tracker) })
 
 		// Pass 2: recompute uncovered elements, shared by all guesses.
 		if err := eng.Run(repo, liveObservers(runs, func(g *guessRun) engine.Observer {
@@ -420,6 +431,30 @@ func makeRuns(n int, opts Options, tracker *stream.Tracker) []*guessRun {
 	return runs
 }
 
+// forEachLive calls fn on every live guess, on up to workers goroutines.
+// Guesses are handed out largest k first: their samples, and so their
+// sub-solves, are the largest.
+func forEachLive(runs []*guessRun, workers int, fn func(*guessRun)) {
+	live := make(chan *guessRun, len(runs))
+	for _, g := range slices.Backward(runs) {
+		if !g.done && !g.failed {
+			live <- g
+		}
+	}
+	close(live)
+	var wg sync.WaitGroup
+	for range min(workers, len(live)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for g := range live {
+				fn(g)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func allSettled(runs []*guessRun) bool {
 	for _, g := range runs {
 		if !g.done && !g.failed {
@@ -438,15 +473,8 @@ func anyDone(runs []*guessRun) bool {
 	return false
 }
 
-func totalProjElems(g *guessRun) int {
-	t := 0
-	for _, p := range g.projElems {
-		t += len(p)
-	}
-	return t
-}
-
-// beginIteration draws S, sets L ← S, and clears the projection store.
+// beginIteration draws S and sets L ← S. The projection store is empty: the
+// previous iteration's endIteration cleared it.
 func (g *guessRun) beginIteration(rng *rand.Rand, n, m int, opts Options, tracker *stream.Tracker) {
 	g.sampleSize = opts.Sizer(g.k, n, m, g.uncovered.Count())
 	if g.sampleSize < 1 {
@@ -454,9 +482,6 @@ func (g *guessRun) beginIteration(rng *rand.Rand, n, m int, opts Options, tracke
 	}
 	g.left = sample.UniformFromBitset(rng, g.uncovered, g.sampleSize)
 	g.sampleSize = g.left.Count() // clamp when uncovered < requested
-	g.projElems = g.projElems[:0]
-	g.projIDs = g.projIDs[:0]
-	g.projWs = g.projWs[:0]
 	// newPicks is a bitset over the m stream IDs rather than a map: pass 2
 	// probes it once per streamed set, and a word-indexed bit test beats a
 	// map lookup in that loop. The space METER is unchanged — it still
@@ -501,15 +526,15 @@ func (g *guessRun) observe(s setcover.Set, opts Options, weight func(int) float6
 		return
 	}
 	// Small: store the projection r∩L explicitly (Figure 1.3).
-	proj := make([]setcover.Elem, 0, inL)
+	from := len(g.projElems)
 	for _, e := range s.Elems {
 		if g.left.Test(int(e)) {
-			proj = append(proj, e)
+			g.projElems = append(g.projElems, e)
 		}
 	}
-	g.projElems = append(g.projElems, proj)
+	w := stream.WordsForElems(len(g.projElems)-from) + 1 // projection + its stream ID
+	g.projEnds = append(g.projEnds, len(g.projElems))
 	g.projIDs = append(g.projIDs, s.ID)
-	w := stream.WordsForElems(len(proj)) + 1 // projection + its stream ID
 	if weight != nil {
 		// The stored copy of the set's cost is working memory like the
 		// projection itself: one word. Unweighted runs never pay it.
@@ -522,38 +547,42 @@ func (g *guessRun) observe(s setcover.Set, opts Options, weight func(int) float6
 
 // solveOffline covers the sampled leftovers L from the stored projections
 // with algOfflineSC and merges the result into the solution.
+//
+// The sub-instance renumbers L's members by rank, dropping elements that
+// heavy sets took out of L after the projection was stored. Stream sets are
+// sorted-unique and the remap is monotone, so the sub-sets are too; they are
+// carved out of one arena reused across iterations.
 func (g *guessRun) solveOffline(opts Options, tracker *stream.Tracker) {
 	if g.left.Empty() {
 		return
 	}
-	// Build the projected instance over the elements of L.
-	newIdx := make(map[setcover.Elem]setcover.Elem, g.left.Count())
-	next := setcover.Elem(0)
-	g.left.ForEach(func(i int) bool {
-		newIdx[setcover.Elem(i)] = next
-		next++
-		return true
-	})
-	sub := &setcover.Instance{N: int(next)}
-	var origIDs []int
-	for i, proj := range g.projElems {
-		var elems []setcover.Elem
-		for _, e := range proj {
-			if ni, ok := newIdx[e]; ok {
-				elems = append(elems, ni)
+	g.ranks = g.left.Ranks(g.ranks)
+	sub, stored := &g.sub, len(g.projEnds)
+	sub.N, sub.Sets = g.left.Count(), slices.Grow(sub.Sets[:0], stored)
+	sub.Weights = slices.Grow(sub.Weights[:0], len(g.projWs))
+	elems := slices.Grow(g.subElem[:0], len(g.projElems))
+	g.subIDs = slices.Grow(g.subIDs[:0], stored)
+	start := 0
+	for i, end := range g.projEnds {
+		from := len(elems)
+		for _, e := range g.projElems[start:end] {
+			if r, ok := g.left.Rank(g.ranks, int(e)); ok {
+				elems = append(elems, setcover.Elem(r))
 			}
 		}
-		if len(elems) > 0 {
-			sub.Sets = append(sub.Sets, setcover.Set{ID: len(sub.Sets), Elems: elems})
-			origIDs = append(origIDs, g.projIDs[i])
+		start = end
+		if len(elems) > from {
+			sub.Sets = append(sub.Sets, setcover.Set{ID: len(sub.Sets), Elems: elems[from:len(elems):len(elems)]})
+			g.subIDs = append(g.subIDs, g.projIDs[i])
 			if g.projWs != nil {
 				sub.Weights = append(sub.Weights, g.projWs[i])
 			}
 		}
 	}
-	sub.Normalize()
-	// Charge the element remap table (the projections are already charged).
-	w := int64(len(newIdx))
+	g.subElem = elems
+	// Charge the element remap, one word per member of L (the projections
+	// are already charged).
+	w := int64(sub.N)
 	g.iterWords += w
 	tracker.Grow(w)
 
@@ -565,7 +594,7 @@ func (g *guessRun) solveOffline(opts Options, tracker *stream.Tracker) {
 		return
 	}
 	for _, sid := range cover {
-		orig := origIDs[sid]
+		orig := g.subIDs[sid]
 		if !g.newPicks.Test(orig) {
 			g.sol = append(g.sol, orig)
 			g.newPicks.Set(orig)
@@ -582,6 +611,7 @@ func (g *guessRun) endIteration(tracker *stream.Tracker) {
 	g.iterWords = 0
 	g.left = nil
 	g.projElems = g.projElems[:0]
+	g.projEnds = g.projEnds[:0]
 	g.projIDs = g.projIDs[:0]
 	g.projWs = g.projWs[:0]
 	if g.newPicks != nil {

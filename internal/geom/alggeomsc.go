@@ -452,19 +452,14 @@ func projectSorted(all []int32, s *bitset.Bitset) []int32 {
 // the offline solver, returning the chosen pieces. ok is false if some
 // sampled point is in no piece.
 func solveCanonical(s *bitset.Bitset, store *CanonicalStore, solver offline.Solver) ([]Piece, bool) {
-	newIdx := make(map[int32]setcover.Elem)
-	next := setcover.Elem(0)
-	s.ForEach(func(i int) bool {
-		newIdx[int32(i)] = next
-		next++
-		return true
-	})
-	sub := &setcover.Instance{N: int(next)}
+	ranks := s.Ranks(nil)
+	sub := &setcover.Instance{N: s.Count()}
 	pieces := store.Pieces()
 	for _, p := range pieces {
 		elems := make([]setcover.Elem, 0, len(p.Elems))
 		for _, e := range p.Elems {
-			elems = append(elems, newIdx[e])
+			r, _ := s.Rank(ranks, int(e))
+			elems = append(elems, setcover.Elem(r))
 		}
 		sub.Sets = append(sub.Sets, setcover.Set{ID: len(sub.Sets), Elems: elems})
 	}

@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/offline"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
@@ -48,26 +49,19 @@ type Result struct {
 }
 
 // Greedy is the offline (1-1/e)-approximation: k rounds of maximum marginal
-// gain. Ties break toward the smaller set ID.
+// gain, ties to the smaller set ID — the first k picks of
+// offline.GreedyKernel with unit weights.
 func Greedy(in *setcover.Instance, k int) (Result, error) {
 	if k < 0 {
 		return Result{}, fmt.Errorf("maxcover: negative budget %d", k)
 	}
-	uncovered := bitset.New(in.N)
-	uncovered.Fill()
 	var res Result
-	for round := 0; round < k; round++ {
-		bestGain, bestID := 0, -1
-		for _, s := range in.Sets {
-			if g := uncovered.IntersectionWithSlice(s.Elems); g > bestGain {
-				bestGain, bestID = g, s.ID
-			}
-		}
-		if bestID < 0 {
-			break // nothing left to gain
-		}
-		res.Sets = append(res.Sets, bestID)
-		res.Covered += uncovered.SubtractSlice(in.Sets[bestID].Elems)
+	if k > 0 {
+		offline.GreedyKernel(in.N, in.Sets, nil, bitset.New(in.N), func(id, gain int, _ []setcover.Elem) bool {
+			res.Sets = append(res.Sets, id)
+			res.Covered += gain
+			return len(res.Sets) < k
+		})
 	}
 	return res, nil
 }

@@ -47,82 +47,19 @@ func (Greedy) Rho(n int) float64 {
 	return math.Log(float64(n)) + 1
 }
 
-// Solve implements Solver. It runs a lazy-decrement greedy: candidates are
-// kept sorted by stale cost-effectiveness (gain/weight — an upper bound,
-// since gains only shrink while weights are constant) and refreshed on
-// demand. Ties are broken toward the smallest set ID, which makes the
-// trajectory identical to a streaming greedy that scans sets in stream order
-// and keeps the first strict maximum.
-//
-// On weighted instances the pick rule is max cost-effectiveness (the classic
-// weighted greedy, ρ = H(n)); on unweighted instances every weight is 1 and
-// every comparison below collapses to the pure-gain integer comparison, so
-// the trajectory is byte-identical to the historical unweighted solver
-// (gains fit in int32, hence are exact in float64). All ratio comparisons
-// are done by cross-multiplication — gain·weight products, never divisions —
-// so there is no rounding in the unit-weight reduction.
+// Solve implements Solver: GreedyKernel from empty coverage, with the picks
+// in selection order. That is the trajectory of a streaming greedy that
+// scans sets in stream order and keeps the first strict maximum of
+// gain/weight. On unit weights the pick rule is the pure-gain integer
+// comparison.
 func (Greedy) Solve(in *setcover.Instance) ([]int, error) {
-	uncovered := bitset.New(in.N)
-	uncovered.Fill()
-	remaining := in.N
-
-	// Entries sorted by (stale gain/weight desc, ID asc), lazily re-evaluated.
-	type entry struct {
-		gain int
-		id   int
-		w    float64
-	}
-	cands := make([]entry, 0, len(in.Sets))
-	for _, s := range in.Sets {
-		if len(s.Elems) > 0 {
-			cands = append(cands, entry{gain: len(s.Elems), id: s.ID, w: in.Weight(s.ID)})
-		}
-	}
-	less := func(i, j int) bool {
-		gi, gj := float64(cands[i].gain)*cands[j].w, float64(cands[j].gain)*cands[i].w
-		if gi != gj {
-			return gi > gj
-		}
-		return cands[i].id < cands[j].id
-	}
-	sort.Slice(cands, less)
-
 	var cover []int
-	for remaining > 0 {
-		// Find the fresh maximum (smallest ID on ties), refreshing stale
-		// ratios as we go. A stale ratio strictly below the incumbent ends
-		// the scan: gains only decrease, so no later entry can win. Stale
-		// ratios equal to the incumbent must still be refreshed for ID
-		// tie-breaking. bestW starts at 1 so the first productive candidate
-		// beats the empty incumbent (gain·1 > 0·w).
-		best, bestGain := -1, 0
-		bestW := 1.0
-		for i := 0; i < len(cands); i++ {
-			e := &cands[i]
-			stale, incumbent := float64(e.gain)*bestW, float64(bestGain)*e.w
-			if stale < incumbent || (stale == incumbent && best >= 0 && e.id > cands[best].id) {
-				if stale < incumbent {
-					break
-				}
-				continue
-			}
-			fresh := uncovered.IntersectionWithSlice(in.Sets[e.id].Elems)
-			e.gain = fresh
-			fr, inc := float64(fresh)*bestW, float64(bestGain)*e.w
-			if fr > inc || (fr == inc && best >= 0 && fresh > 0 && e.id < cands[best].id) {
-				bestGain = fresh
-				bestW = e.w
-				best = i
-			}
-		}
-		if best < 0 || bestGain == 0 {
-			return nil, setcover.ErrInfeasible
-		}
-		id := cands[best].id
+	left := GreedyKernel(in.N, in.Sets, in.Weights, bitset.New(in.N), func(id, _ int, _ []setcover.Elem) bool {
 		cover = append(cover, id)
-		remaining -= uncovered.SubtractSlice(in.Sets[id].Elems)
-		cands[best].gain = 0
-		sort.Slice(cands, less)
+		return true
+	})
+	if left > 0 {
+		return nil, setcover.ErrInfeasible
 	}
 	return cover, nil
 }

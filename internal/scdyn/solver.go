@@ -2,26 +2,24 @@ package scdyn
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
+	"repro/internal/offline"
 	"repro/internal/setcover"
 	"repro/internal/stream"
 )
 
 // The dynamic solver ("dyn" on the wire) maintains an EXACT greedy cover —
-// max marginal gain, ties to the smallest set ID — under append/tombstone
-// mutations, in the density-level style of dynamic-rms (SNIPPETS.md
-// Snippet 3): candidate sets live in buckets keyed by the bit-length of
-// their marginal gain, gains only decay, and a selection round scans just
-// the top bucket. Gains themselves are kept exact by decrementing through an
-// element→sets inverted index as elements get covered, so the scan is pure
-// integer reads. The exactness argument is the bucket invariant (an entry's
-// bucket level never understates its true gain, so once decayed entries are
-// sunk out of the top bucket, everything below it is strictly dominated).
+// max cost-effectiveness, ties to the smallest set ID — under
+// append/tombstone mutations. The greedy loop itself is offline.GreedyKernel,
+// the repository's one greedy implementation (density-level buckets over
+// exact gains kept by decrements through a CSR element→sets index; DESIGN.md
+// §1, §3): the solver holds the in-memory mirror of the family and the
+// selection trace, and the kernel's resume-from-coverage entry is what makes
+// replay cheap.
 //
 // Incrementality comes from prefix-stable replay rather than patching the
 // cover in place: a greedy trace step t survives a delta batch iff no record
@@ -36,13 +34,18 @@ import (
 //     largest, so ties lose to the incumbent).
 //
 // The stable prefix is the minimum over all records; the solver truncates
-// the trace there and lets the ordinary greedy loop finish the job. Because
-// the resumed loop is the same code as the from-scratch loop, incremental
-// and full solves agree by construction — the conformance suite then pins
-// that equality across backends and engine settings. When a batch dirties
-// more than FallbackDirtyFraction of the family the prefix analysis is
-// skipped (t* = 0): still no stream pass, just a fresh greedy over the
-// in-memory mirror.
+// the trace there and lets the kernel finish the job from the prefix's
+// coverage. Because the resumed run is the same code as the from-scratch
+// run, incremental and full solves agree by construction — the conformance
+// suite then pins that equality across backends and engine settings. When a
+// batch dirties more than FallbackDirtyFraction of the family the prefix
+// analysis is skipped (t* = 0): still no stream pass, just a fresh greedy
+// over the in-memory mirror.
+//
+// Solve mirrors a weighted repository's costs, so "dyn" selects greedyn's
+// sets on weighted instances too. The Solver sees only unit weights (the
+// delta log has no weight record, DESIGN.md §11), which the prefix analysis
+// relies on: recorded gains never increase along a unit-weight trace.
 
 // DefaultFallbackDirtyFraction is the dirty-fraction threshold above which
 // EnsureAt skips prefix analysis and re-runs greedy from scratch over the
@@ -63,171 +66,49 @@ type step struct {
 // mirror of the family plus the selection trace. It is shared by the
 // stateless Solve and the stateful Solver.
 type coreState struct {
-	n            int
-	sets         [][]setcover.Elem // index = set ID; nil = tombstoned/empty
-	steps        []step
-	stepOf       map[int]int // set ID -> index in steps
-	covered      *bitset.Bitset
-	coveredCount int
-	valid        bool
+	n       int
+	sets    []setcover.Set // index = set ID (Set.ID unused); no Elems = tombstoned/empty
+	weights []float64      // per-set costs; nil = unit weights
+	steps   []step
+	stepOf  map[int]int // set ID -> index in steps
+	covered *bitset.Bitset
+	valid   bool
 }
 
 func newCoreState(n int) *coreState {
 	return &coreState{n: n, stepOf: make(map[int]int), covered: bitset.New(n)}
 }
 
-// ingest mirrors one full pass of repo into memory. Observer batches are
-// indexed by set ID, so the mirror is identical at every Workers/BatchSize
-// setting — the whole determinism story of the incremental path rests on
-// that line. Elements are copied: batch slices belong to the engine.
+// ingest mirrors one full pass of repo into memory, with its per-set costs
+// when repo is weighted. Observer batches are indexed by set ID, so the
+// mirror is identical at every Workers/BatchSize setting — the whole
+// determinism story of the incremental path rests on that line. Elements are
+// copied: batch slices belong to the engine.
 func (c *coreState) ingest(repo stream.Repository, eng engine.Options) error {
-	c.sets = make([][]setcover.Elem, repo.NumSets())
+	c.sets = make([]setcover.Set, repo.NumSets())
+	if w, ok := repo.(stream.Weighted); ok && w.HasWeights() {
+		c.weights = make([]float64, len(c.sets))
+		for id := range c.weights {
+			c.weights[id] = w.Weight(id)
+		}
+	}
 	return engine.New(eng).Run(repo, engine.Func(func(batch []setcover.Set) {
 		for _, s := range batch {
-			if len(s.Elems) == 0 {
-				continue // tombstoned or empty: keep nil
-			}
-			c.sets[s.ID] = append([]setcover.Elem(nil), s.Elems...)
+			c.sets[s.ID].Elems = append([]setcover.Elem(nil), s.Elems...)
 		}
 	}))
 }
 
-// greedy runs the density-level greedy loop from the current trace until
-// the universe is covered or no set has positive gain. It never rolls
-// anything back, so calling it after a truncated trace IS the incremental
-// re-solve.
-//
-// Gains are EXACT at all times, maintained by decrement through an
-// element→sets inverted index: when a selection newly covers element e,
-// precisely the unselected sets containing e lose one unit of gain. A
-// selection round therefore reads cached integers — it never walks a set's
-// elements — which is what makes replaying the low-gain tail of a truncated
-// trace cheap (the tail is where level buckets are widest).
+// greedy extends the trace by running the kernel from the trace's coverage
+// (selected sets are fully covered, so never re-picked); after a truncation
+// this IS the incremental re-solve.
 func (c *coreState) greedy() {
-	// Build the exact gains and the inverted index over the candidate sets.
-	// The index holds only UNCOVERED elements (a decrement can only ever
-	// originate from an element that gets covered later) and is laid out
-	// CSR-style — one flat id array plus per-element offsets. A single
-	// covered-test walk records the live incidences into a pair buffer; a
-	// counting sort then lays them out by element, so the expensive bitset
-	// probes happen exactly once per incidence.
-	gains := make([]int, len(c.sets))
-	selected := make([]bool, len(c.sets))
-	for id := range c.stepOf {
-		selected[id] = true
-	}
-	type inc struct {
-		e  setcover.Elem
-		id int32
-	}
-	var buf []inc
-	for id, elems := range c.sets {
-		if elems == nil || selected[id] {
-			continue
-		}
-		g := 0
-		for _, e := range elems {
-			if !c.covered.Test(int(e)) {
-				g++
-				buf = append(buf, inc{e, int32(id)})
-			}
-		}
-		gains[id] = g
-	}
-	offs := make([]int32, c.n+1)
-	for _, p := range buf {
-		offs[p.e+1]++
-	}
-	for i := 1; i <= c.n; i++ {
-		offs[i] += offs[i-1]
-	}
-	flat := make([]int32, len(buf))
-	cur := make([]int32, c.n)
-	copy(cur, offs[:c.n])
-	for _, p := range buf {
-		flat[cur[p.e]] = p.id
-		cur[p.e]++
-	}
-
-	// Bucket l holds candidate IDs pushed when bits.Len(gain) == l. Gains
-	// only decay, so an entry's true level never exceeds its bucket — the
-	// top-bucket scan moves decayed entries down lazily and what remains is
-	// exactly the sets at the top level.
-	var buckets [33][]int
-	top := 0
-	push := func(id, g int) {
-		l := bits.Len(uint(g))
-		buckets[l] = append(buckets[l], id)
-		if l > top {
-			top = l
-		}
-	}
-	for id, g := range gains {
-		if g > 0 {
-			push(id, g)
-		}
-	}
-
-	for c.coveredCount < c.n {
-		for top > 0 && len(buckets[top]) == 0 {
-			top--
-		}
-		if top == 0 {
-			break // no positive gain anywhere: infeasible residual
-		}
-		// Scan the top bucket: drop dead entries, sink decayed ones, and
-		// take the max gain (ties to the smallest ID) from what remains.
-		// Everything in lower buckets has gain below the level floor and is
-		// dominated.
-		cand := buckets[top][:0]
-		bestID, bestGain := -1, 0
-		for _, id := range buckets[top] {
-			g := gains[id]
-			if g == 0 {
-				continue // decayed to nothing, or selected
-			}
-			if l := bits.Len(uint(g)); l < top {
-				buckets[l] = append(buckets[l], id)
-				continue
-			}
-			cand = append(cand, id)
-			if g > bestGain || (g == bestGain && id < bestID) {
-				bestID, bestGain = id, g
-			}
-		}
-		buckets[top] = cand
-		if bestID < 0 {
-			continue // bucket drained downward; find the new top
-		}
-		// Select bestID: record the step, then charge every overlapping
-		// candidate exactly once per newly covered element.
-		newly := make([]setcover.Elem, 0, bestGain)
-		for _, e := range c.sets[bestID] {
-			if !c.covered.Test(int(e)) {
-				c.covered.Set(int(e))
-				newly = append(newly, e)
-			}
-		}
-		c.coveredCount += len(newly)
-		c.stepOf[bestID] = len(c.steps)
-		c.steps = append(c.steps, step{id: bestID, gain: bestGain, newly: newly})
-		gains[bestID] = 0
-		keep := buckets[top][:0]
-		for _, id := range buckets[top] {
-			if id != bestID {
-				keep = append(keep, id)
-			}
-		}
-		buckets[top] = keep
-		for _, e := range newly {
-			for _, tid := range flat[offs[e]:offs[e+1]] {
-				if gains[tid] > 0 {
-					gains[tid]--
-				}
-			}
-		}
-	}
-	c.valid = c.coveredCount == c.n
+	left := offline.GreedyKernel(c.n, c.sets, c.weights, c.covered, func(id, gain int, newly []setcover.Elem) bool {
+		c.stepOf[id] = len(c.steps)
+		c.steps = append(c.steps, step{id: id, gain: gain, newly: append([]setcover.Elem(nil), newly...)})
+		return true
+	})
+	c.valid = left == 0
 }
 
 // truncate rewinds the trace to its first t steps and rebuilds coverage.
@@ -237,14 +118,12 @@ func (c *coreState) truncate(t int) {
 	}
 	c.steps = c.steps[:t]
 	c.covered = bitset.New(c.n)
-	c.coveredCount = 0
 	c.stepOf = make(map[int]int, t)
 	for i, st := range c.steps {
 		c.stepOf[st.id] = i
 		for _, e := range st.newly {
 			c.covered.Set(int(e))
 		}
-		c.coveredCount += len(st.newly)
 	}
 	c.valid = false
 }
@@ -332,16 +211,12 @@ func (c *coreState) apply(recs []Rec) error {
 			if rec.ID != len(c.sets) {
 				return fmt.Errorf("scdyn: append record id %d, mirror has %d sets", rec.ID, len(c.sets))
 			}
-			elems := rec.Elems
-			if len(elems) == 0 {
-				elems = nil
-			}
-			c.sets = append(c.sets, elems)
+			c.sets = append(c.sets, setcover.Set{Elems: rec.Elems})
 		case OpTombstone:
 			if rec.ID < 0 || rec.ID >= len(c.sets) {
 				return fmt.Errorf("scdyn: tombstone record id %d out of [0, %d)", rec.ID, len(c.sets))
 			}
-			c.sets[rec.ID] = nil
+			c.sets[rec.ID].Elems = nil
 		default:
 			return fmt.Errorf("scdyn: unknown record kind %d", byte(rec.Kind))
 		}
@@ -352,9 +227,10 @@ func (c *coreState) apply(recs []Rec) error {
 // stats assembles the result: cover in ascending ID order, space charged
 // for the mirror, the inverted index and gain array greedy builds (the
 // high-water mark — both live only during the loop), the coverage bitset,
-// and the trace. Extra reports how many trace steps the solve reused (0 for
-// a from-scratch run).
-func (c *coreState) stats(passes, reused int) setcover.Stats {
+// the trace, and one word per mirrored weight. Extra reports how many trace
+// steps the solve reused (0 for a from-scratch run). The error is
+// setcover.ErrInfeasible when the trace does not cover the universe.
+func (c *coreState) stats(passes, reused int) (setcover.Stats, error) {
 	cover := make([]int, 0, len(c.steps))
 	for _, st := range c.steps {
 		cover = append(cover, st.id)
@@ -362,34 +238,43 @@ func (c *coreState) stats(passes, reused int) setcover.Stats {
 	sort.Ints(cover)
 	total := 0
 	for _, s := range c.sets {
-		total += len(s)
+		total += len(s.Elems)
 	}
-	return setcover.Stats{
+	st := setcover.Stats{
 		Algorithm: AlgorithmName,
 		Cover:     cover,
 		Valid:     c.valid,
 		Passes:    passes,
 		SpaceWords: stream.WordsForElems(2*total) + stream.WordsForBitset(c.n) +
-			stream.WordsForIDs(len(c.steps)+len(c.sets)),
+			stream.WordsForIDs(len(c.steps)+len(c.sets)) + int64(len(c.weights)),
 		Extra: float64(reused),
 	}
-}
-
-// Solve is the stateless entry point: one engine pass to mirror repo (any
-// backend — slice, func, disk, or a scdyn view), then the exact greedy.
-// Returns setcover.ErrInfeasible (with the partial cover in Stats) when the
-// family cannot cover the universe.
-func Solve(repo stream.Repository, eng engine.Options) (setcover.Stats, error) {
-	c := newCoreState(repo.UniverseSize())
-	if err := c.ingest(repo, eng); err != nil {
-		return setcover.Stats{}, err
-	}
-	c.greedy()
-	st := c.stats(1, 0)
 	if !c.valid {
 		return st, setcover.ErrInfeasible
 	}
 	return st, nil
+}
+
+// Solve is the stateless entry point: one engine pass to mirror repo (any
+// backend — slice, func, disk, or a scdyn view) and its weights, then the
+// exact greedy of offline.GreedyKernel. Returns setcover.ErrInfeasible (with
+// the partial cover in Stats) when the family cannot cover the universe.
+func Solve(repo stream.Repository, eng engine.Options) (setcover.Stats, error) {
+	c, err := solveFresh(repo, eng)
+	if err != nil {
+		return setcover.Stats{}, err
+	}
+	return c.stats(1, 0)
+}
+
+// solveFresh ingests repo and runs the greedy from scratch.
+func solveFresh(repo stream.Repository, eng engine.Options) (*coreState, error) {
+	c := newCoreState(repo.UniverseSize())
+	if err := c.ingest(repo, eng); err != nil {
+		return nil, err
+	}
+	c.greedy()
+	return c, nil
 }
 
 // Solver is the stateful maintenance engine bound to one mutable Repo: it
@@ -402,9 +287,8 @@ type Solver struct {
 	// FallbackDirtyFraction overrides DefaultFallbackDirtyFraction when > 0.
 	FallbackDirtyFraction float64
 
-	core   *coreState
-	gen    int
-	digest string
+	core *coreState
+	gen  int
 }
 
 // NewSolver returns a Solver bound to r with no state yet — the first
@@ -421,11 +305,8 @@ func (s *Solver) EnsureAt(gen int, eng engine.Options) (st setcover.Stats, incre
 	defer s.mu.Unlock()
 
 	if s.core != nil && s.gen == gen {
-		st = s.core.stats(0, len(s.core.steps))
-		if !s.core.valid {
-			return st, true, setcover.ErrInfeasible
-		}
-		return st, true, nil
+		st, err = s.core.stats(0, len(s.core.steps))
+		return st, true, err
 	}
 
 	if s.core == nil || s.gen > gen {
@@ -437,19 +318,15 @@ func (s *Solver) EnsureAt(gen int, eng engine.Options) (st setcover.Stats, incre
 		if verr != nil {
 			return setcover.Stats{}, false, verr
 		}
-		c := newCoreState(view.UniverseSize())
-		if ierr := c.ingest(view, eng); ierr != nil {
+		c, ierr := solveFresh(view, eng)
+		if ierr != nil {
 			return setcover.Stats{}, false, ierr
 		}
-		c.greedy()
 		if s.core == nil {
-			s.core, s.gen, s.digest = c, gen, view.Digest()
+			s.core, s.gen = c, gen
 		}
-		st = c.stats(1, 0)
-		if !c.valid {
-			return st, false, setcover.ErrInfeasible
-		}
-		return st, false, nil
+		st, err = c.stats(1, 0)
+		return st, false, err
 	}
 
 	recs, rerr := s.r.Records(s.gen, gen)
@@ -474,14 +351,8 @@ func (s *Solver) EnsureAt(gen int, eng engine.Options) (st setcover.Stats, incre
 	}
 	c.greedy()
 	s.gen = gen
-	if s.digest, err = s.r.DigestAt(gen); err != nil {
-		return setcover.Stats{}, false, err
-	}
-	st = c.stats(0, tStar)
-	if !c.valid {
-		return st, true, setcover.ErrInfeasible
-	}
-	return st, true, nil
+	st, err = c.stats(0, tStar)
+	return st, true, err
 }
 
 // Generation returns the generation of the solver's state (-1 before the

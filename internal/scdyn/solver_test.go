@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/offline"
 	"repro/internal/scdisk"
 	"repro/internal/setcover"
 	"repro/internal/stream"
@@ -377,4 +378,91 @@ func dedupeTombstones(r *Repo, ops []Op) []Op {
 		out = append(out, Op{Kind: OpAppend, Elems: []setcover.Elem{0}})
 	}
 	return out
+}
+
+// TestResumeFromAnyTruncation: truncating a from-scratch trace at any step
+// and letting the kernel finish reproduces the from-scratch trace exactly —
+// picks, recorded gains, and newly covered elements. This is the property
+// every incremental re-solve rests on; weighted mirrors resume the same way.
+func TestResumeFromAnyTruncation(t *testing.T) {
+	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 500, M: 150, K: 15, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := gen.WeightedSlice(gen.WeightedConfig{Kind: gen.WeightLogUniform, M: len(in.Sets), Lo: 0.05, Hi: 20, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weighted := &setcover.Instance{N: in.N, Sets: in.Sets, Weights: ws}
+	for name, inst := range map[string]*setcover.Instance{"unit": in, "weighted": weighted} {
+		solve := func() *coreState {
+			c := newCoreState(inst.N)
+			if err := c.ingest(stream.NewSliceRepo(inst), engine.Options{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			c.greedy()
+			return c
+		}
+		full := solve()
+		if !full.valid || len(full.steps) < 5 {
+			t.Fatalf("%s: from-scratch trace valid=%t with %d steps; want a valid multi-step trace", name, full.valid, len(full.steps))
+		}
+		for cut := 0; cut <= len(full.steps); cut++ {
+			c := solve()
+			c.truncate(cut)
+			c.greedy()
+			if !c.valid || len(c.steps) != len(full.steps) {
+				t.Fatalf("%s cut %d: resumed %d steps (valid=%t), from scratch %d", name, cut, len(c.steps), c.valid, len(full.steps))
+			}
+			for i, st := range c.steps {
+				want := full.steps[i]
+				if st.id != want.id || st.gain != want.gain || !elemsEqual(st.newly, want.newly) || c.stepOf[st.id] != i {
+					t.Fatalf("%s cut %d: step %d = {%d %d %v}, from scratch {%d %d %v}", name, cut, i, st.id, st.gain, st.newly, want.id, want.gain, want.newly)
+				}
+			}
+		}
+	}
+}
+
+// TestSolveHonorsWeights: on a weighted repository Solve picks by
+// cost-effectiveness — the same set as offline.Greedy and greedyn — and
+// charges one space word per mirrored weight.
+func TestSolveHonorsWeights(t *testing.T) {
+	in, _, _, err := gen.Planted(gen.PlantedConfig{N: 600, M: 300, K: 40, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := gen.WeightedSlice(gen.WeightedConfig{Kind: gen.WeightLogUniform, M: len(in.Sets), Lo: 0.05, Hi: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weighted := &setcover.Instance{N: in.N, Sets: in.Sets, Weights: ws}
+	want, err := offline.Greedy{}.Solve(weighted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Ints(want)
+	plain, err := Solve(stream.NewSliceRepo(in), engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range engineMatrix() {
+		st, err := Solve(stream.NewSliceRepo(weighted), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Valid || !intsEqual(st.Cover, want) {
+			t.Fatalf("w=%d b=%d: weighted cover %v, offline greedy %v", opts.Workers, opts.BatchSize, st.Cover, want)
+		}
+		if weighted.CoverWeight(st.Cover) >= weighted.CoverWeight(plain.Cover) {
+			t.Fatalf("weighted cover cost %v not below the unit-weight cover's %v", weighted.CoverWeight(st.Cover), weighted.CoverWeight(plain.Cover))
+		}
+	}
+	// Against the unit-weight solve of the same family, the mirror and
+	// bitset charges match, the trace charge differs by the cover sizes,
+	// and the rest is one word per weight.
+	st, _ := Solve(stream.NewSliceRepo(weighted), engine.Options{Workers: 1})
+	if got, wantW := st.SpaceWords-plain.SpaceWords, int64(len(ws)+len(st.Cover)-len(plain.Cover)); got != wantW {
+		t.Fatalf("weighted space %d - unit space %d = %d, want %d (one word per weight)", st.SpaceWords, plain.SpaceWords, got, wantW)
+	}
 }

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/algo"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/scdyn"
@@ -330,11 +329,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := req.checkWeights(inst); err != nil {
 		writeError(w, http.StatusBadRequest, CodeWeightMismatch, "%v", err)
-		return
-	}
-	a, _ := algo.Lookup(req.Algo) // validate checked the name
-	if err := a.CheckWeights(inst.Weighted); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "%v", err)
 		return
 	}
 

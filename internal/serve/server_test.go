@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -874,5 +875,27 @@ func TestPersistentCacheAcrossServerRestarts(t *testing.T) {
 	}
 	if m["setcoverd_disk_cache_errors_total"] == 0 {
 		t.Fatal("corrupt entry rejection not counted")
+	}
+}
+
+// The wire returns each cover in its algorithm's own order (DESIGN.md §7):
+// ascending set IDs for dyn and pd, pick order for every other row. On this
+// weighted instance no row's pick order happens to be ascending, so a row
+// that started sorting its cover, or stopped, fails here.
+func TestWireCoverOrder(t *testing.T) {
+	cat, in := weightedCatalog(t)
+	srv := NewServer(cat, Config{MaxConcurrent: 1, CacheSize: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	ascending := map[string]bool{"dyn": true, "pd": true}
+	for _, name := range algo.Names() {
+		code, view, apiErr := postSolve(t, ts.URL, map[string]any{"instance": "weighted", "algo": name})
+		if code != 200 || apiErr != nil || !in.IsCover(view.Result.Cover) {
+			t.Fatalf("%s: status %d err %v", name, code, apiErr)
+		}
+		if got := slices.IsSorted(view.Result.Cover); got != ascending[name] {
+			t.Errorf("%s: cover ascending = %t, want %t: %v", name, got, ascending[name], view.Result.Cover)
+		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -157,28 +157,29 @@ func TestServeWeightAssertions(t *testing.T) {
 	}
 }
 
-// A table row that ignores weights (dyn) must be refused on a weighted
-// instance with a structured 400 before admission: no solve runs and no
-// cache row is consulted. The same row still solves the unweighted twin.
-func TestServeRefusesUnweightedAlgoOnWeightedInstance(t *testing.T) {
+// algo=dyn honors per-set costs: on a weighted instance it selects exactly
+// greedyn's sets, at the same cost. dyn reports them in ascending ID order,
+// greedyn in pick order.
+func TestServeDynMatchesGreedynOnWeighted(t *testing.T) {
 	cat, in := weightedCatalog(t)
 	srv := NewServer(cat, Config{MaxConcurrent: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
 
-	code, _, apiErr := postSolve(t, ts.URL, map[string]any{"instance": "weighted", "algo": "dyn"})
-	if code != 400 || apiErr == nil || apiErr.Code != CodeBadRequest || !strings.Contains(apiErr.Message, `"dyn"`) {
-		t.Fatalf("dyn on weighted: status %d err %v, want 400 %s naming dyn", code, apiErr, CodeBadRequest)
+	results := map[string]*SolveResult{}
+	for _, algo := range []string{"dyn", "greedyn"} {
+		code, view, apiErr := postSolve(t, ts.URL, map[string]any{"instance": "weighted", "algo": algo})
+		if code != 200 || apiErr != nil || !view.Result.Valid || !in.IsCover(view.Result.Cover) {
+			t.Fatalf("%s: status %d err %v", algo, code, apiErr)
+		}
+		results[algo] = view.Result
 	}
-	m := getMetrics(t, ts.URL)
-	if m["setcoverd_solves_total"] != 0 || m["setcoverd_cache_misses_total"] != 0 {
-		t.Fatalf("refused request reached admission: solves=%d misses=%d",
-			m["setcoverd_solves_total"], m["setcoverd_cache_misses_total"])
+	dyn, greedyn := results["dyn"], results["greedyn"]
+	if sorted := slices.Sorted(slices.Values(greedyn.Cover)); !slices.Equal(dyn.Cover, sorted) {
+		t.Fatalf("dyn cover %v, greedyn cover (sorted) %v", dyn.Cover, sorted)
 	}
-
-	code, view, apiErr := postSolve(t, ts.URL, map[string]any{"instance": "plain", "algo": "dyn"})
-	if code != 200 || apiErr != nil || !view.Result.Valid || !in.IsCover(view.Result.Cover) {
-		t.Fatalf("dyn on plain: status %d err %v", code, apiErr)
+	if math.Abs(dyn.CoverWeight-greedyn.CoverWeight) > 1e-9 || math.Abs(dyn.CoverWeight-in.CoverWeight(dyn.Cover)) > 1e-9 {
+		t.Fatalf("cover_weight dyn %v, greedyn %v, instance %v", dyn.CoverWeight, greedyn.CoverWeight, in.CoverWeight(dyn.Cover))
 	}
 }

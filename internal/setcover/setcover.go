@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -104,17 +105,16 @@ func ValidateWeights(weights []float64, m int) error {
 // Normalize sorts and deduplicates every set's element list and assigns
 // sequential IDs. Generators call it so the rest of the code can rely on the
 // sorted-unique invariant.
+//
+// A set that is already sorted-unique, which is what every parser and
+// sub-instance builder usually hands it, costs two linear scans and no sort.
 func (in *Instance) Normalize() {
 	for i := range in.Sets {
 		es := in.Sets[i].Elems
-		sort.Slice(es, func(a, b int) bool { return es[a] < es[b] })
-		out := es[:0]
-		for j, e := range es {
-			if j == 0 || e != es[j-1] {
-				out = append(out, e)
-			}
+		if !slices.IsSorted(es) {
+			slices.Sort(es)
 		}
-		in.Sets[i].Elems = out
+		in.Sets[i].Elems = slices.Compact(es)
 		in.Sets[i].ID = i
 	}
 }

@@ -3,6 +3,8 @@ package setcover
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -62,6 +64,56 @@ func TestNormalizeSortsDedupsAndAssignsIDs(t *testing.T) {
 	}
 	if err := in.Validate(); err != nil {
 		t.Fatalf("Validate after Normalize: %v", err)
+	}
+}
+
+// sortNormalize is Normalize as it was before its sorted-unique fast path:
+// sort.Slice, then drop adjacent duplicates. It is the reference output.
+func sortNormalize(in *Instance) {
+	for i := range in.Sets {
+		es := in.Sets[i].Elems
+		sort.Slice(es, func(a, b int) bool { return es[a] < es[b] })
+		out := es[:0]
+		for j, e := range es {
+			if j == 0 || e != es[j-1] {
+				out = append(out, e)
+			}
+		}
+		in.Sets[i].Elems = out
+		in.Sets[i].ID = i
+	}
+}
+
+// Normalize's output is unchanged by its fast path on unsorted, duplicated,
+// empty and already sorted-unique sets.
+func TestNormalizeMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(200)
+		got, want := &Instance{N: n}, &Instance{N: n}
+		for id := rng.Intn(30); id >= 0; id-- {
+			es := make([]Elem, rng.Intn(40))
+			for j := range es {
+				es[j] = Elem(rng.Intn(n))
+			}
+			switch rng.Intn(3) {
+			case 0: // sorted-unique: the fast path
+				slices.Sort(es)
+				es = slices.Compact(es)
+			case 1: // sorted with duplicates
+				slices.Sort(es)
+			}
+			got.Sets = append(got.Sets, Set{ID: -id, Elems: es})
+			want.Sets = append(want.Sets, Set{ID: -id, Elems: slices.Clone(es)})
+		}
+		got.Normalize()
+		sortNormalize(want)
+		for i := range want.Sets {
+			g, w := got.Sets[i], want.Sets[i]
+			if g.ID != w.ID || !slices.Equal(g.Elems, w.Elems) {
+				t.Fatalf("trial %d set %d: got %d %v, want %d %v", trial, i, g.ID, g.Elems, w.ID, w.Elems)
+			}
+		}
 	}
 }
 
